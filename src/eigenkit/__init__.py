@@ -13,7 +13,6 @@ from .core import (
     as_matrix,
     balance,
     frobenius_norm,
-    matmul,
     offdiagonal_norm,
     remove_row_col,
     require_square,
@@ -52,9 +51,10 @@ from .oracle import (
     poly_roots,
 )
 from .ensemble import Distribution, EnsembleSpec, generate_ensemble, generate_matrix
-from .matio import MatrixFormatError, read_matrix, write_matrix
+from .matio import MatrixFormatError, format_complex, read_matrix, write_matrix
 from .bench import (
     SOLVER_NAMES,
+    SOLVER_SETUPS,
     ComparisonReport,
     ComparisonRow,
     SolverAggregate,
@@ -68,7 +68,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # core
-    "BalanceRecord", "as_matrix", "balance", "frobenius_norm", "matmul",
+    "BalanceRecord", "as_matrix", "balance", "frobenius_norm",
     "offdiagonal_norm", "remove_row_col", "require_square", "row_left_norm",
     "subdiagonal_norm", "trailing_2x2",
     # qr
@@ -86,9 +86,9 @@ __all__ = [
     # ensemble
     "Distribution", "EnsembleSpec", "generate_ensemble", "generate_matrix",
     # matio
-    "MatrixFormatError", "read_matrix", "write_matrix",
+    "MatrixFormatError", "format_complex", "read_matrix", "write_matrix",
     # bench
-    "SOLVER_NAMES", "ComparisonReport", "ComparisonRow", "SolverAggregate",
+    "SOLVER_NAMES", "SOLVER_SETUPS", "ComparisonReport", "ComparisonRow", "SolverAggregate",
     "emit_trace_csv", "run_comparison",
     # svgplot
     "LOG_FLOOR", "emit_convergence_svg",

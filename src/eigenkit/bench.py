@@ -1,8 +1,8 @@
 """Side-by-side solver comparison harness.
 
-Four named solver setups share one ``SolverConfig`` (so every solver sees
-identical ``eps``/``k_max``) and differ only in shift strategy, deflation,
-and balancing:
+Four named solver setups (``SOLVER_SETUPS``) share one ``SolverConfig``
+(so every solver sees identical ``eps``/``k_max``) and differ only in shift
+strategy, deflation, and balancing:
 
 ==================== =============================================
 enhanced             Wilkinson shift + deflation sweep + balancing
@@ -27,11 +27,12 @@ import statistics
 import time
 
 from .core import as_matrix, require_square, subdiagonal_norm
-from .engine import EigenReport, SolverConfig, TraceRecord, baseline_qr, enhanced_shifted_qr
+from .engine import SolverConfig, TraceRecord, baseline_qr, enhanced_shifted_qr
 from .ensemble import EnsembleSpec, generate_ensemble
 from .shifts import ShiftStrategy
 
 __all__ = [
+    "SOLVER_SETUPS",
     "SOLVER_NAMES",
     "ComparisonRow",
     "SolverAggregate",
@@ -43,38 +44,18 @@ __all__ = [
 TRACE_CSV_HEADER = "matrix_index,solver,iteration,dimension,subdiag_norm,shift_re,shift_im,deflated"
 
 
-def _run_enhanced(m, cfg: SolverConfig) -> EigenReport:
-    return enhanced_shifted_qr(
-        m, dataclasses.replace(cfg, shift=ShiftStrategy.WILKINSON, do_balance=True)
-    )
-
-
-def _run_wilkinson_nodeflate(m, cfg: SolverConfig) -> EigenReport:
-    return baseline_qr(
-        m, dataclasses.replace(cfg, shift=ShiftStrategy.WILKINSON, do_balance=False)
-    )
-
-
-def _run_rayleigh(m, cfg: SolverConfig) -> EigenReport:
-    return baseline_qr(
-        m, dataclasses.replace(cfg, shift=ShiftStrategy.RAYLEIGH, do_balance=False)
-    )
-
-
-def _run_plain(m, cfg: SolverConfig) -> EigenReport:
-    return baseline_qr(
-        m, dataclasses.replace(cfg, shift=ShiftStrategy.NO_SHIFT, do_balance=False)
-    )
-
-
-_SOLVERS = {
-    "enhanced": _run_enhanced,
-    "wilkinson-nodeflate": _run_wilkinson_nodeflate,
-    "rayleigh": _run_rayleigh,
-    "plain": _run_plain,
+# Solver name -> (deflate, shift); balancing follows deflation. The table
+# holds flags, not functions: ``_solve_cell`` reads the two drivers from
+# this module's globals at call time, so a rebinding of them (a profiler's,
+# say) takes effect.
+SOLVER_SETUPS = {
+    "enhanced": (True, ShiftStrategy.WILKINSON),
+    "wilkinson-nodeflate": (False, ShiftStrategy.WILKINSON),
+    "rayleigh": (False, ShiftStrategy.RAYLEIGH),
+    "plain": (False, ShiftStrategy.NO_SHIFT),
 }
 
-SOLVER_NAMES = tuple(_SOLVERS)
+SOLVER_NAMES = tuple(SOLVER_SETUPS)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -118,9 +99,11 @@ class ComparisonReport:
 
 
 def _solve_cell(index: int, m, name: str, cfg: SolverConfig) -> ComparisonRow:
+    deflate, shift = SOLVER_SETUPS[name]
+    solve = enhanced_shifted_qr if deflate else baseline_qr
     start = time.perf_counter()
     try:
-        report = _SOLVERS[name](m, cfg)
+        report = solve(m, dataclasses.replace(cfg, shift=shift, do_balance=deflate))
     except (ArithmeticError, ValueError) as exc:
         return ComparisonRow(
             matrix_index=index,
@@ -185,7 +168,7 @@ def run_comparison(ensemble, solvers, cfg: SolverConfig | None = None) -> Compar
     names = list(dict.fromkeys(solvers))
     if not names:
         raise ValueError("at least one solver name is required")
-    unknown = [s for s in names if s not in _SOLVERS]
+    unknown = [s for s in names if s not in SOLVER_SETUPS]
     if unknown:
         raise ValueError(
             f"unknown solver name(s) {unknown}; choose from {list(SOLVER_NAMES)}"

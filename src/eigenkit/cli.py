@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .bench import SOLVER_NAMES, emit_trace_csv, run_comparison
+from .bench import SOLVER_NAMES, SOLVER_SETUPS, emit_trace_csv, run_comparison
 from .core import frobenius_norm, subdiagonal_norm
 from .engine import (
     DeflationMode,
@@ -30,8 +30,7 @@ from .engine import (
     enhanced_shifted_qr,
 )
 from .ensemble import Distribution, EnsembleSpec
-from .matio import MatrixFormatError, read_matrix
-from .matio import _format_entry_csv as _fmt_complex
+from .matio import MatrixFormatError, format_complex, read_matrix
 from .oracle import RootConvergenceError, eigenvalues_oracle, match_eigenvalues
 from .qr import QRMethod, RankDeficiencyError, factorize
 from .shifts import ShiftStrategy
@@ -78,7 +77,7 @@ def _load_matrix(path, square: bool = True) -> np.ndarray:
 def _print_values(label: str, values) -> None:
     print(f"{label}:")
     for z in values:
-        print(f"  {_fmt_complex(complex(z))}")
+        print(f"  {format_complex(complex(z))}")
 
 
 def _cmd_factor(args) -> int:
@@ -109,11 +108,12 @@ def _eig_config(args) -> SolverConfig:
 
 
 def _solver_label(args) -> str:
-    if not args.no_deflate:
-        return "enhanced"
-    return {"wilkinson": "wilkinson-nodeflate", "rayleigh": "rayleigh", "none": "plain"}[
-        args.shift
-    ]
+    # Every deflating solve is "enhanced", whatever its shift.
+    deflate, shift = not args.no_deflate, ShiftStrategy(args.shift)
+    return next(
+        name for name, (d, s) in SOLVER_SETUPS.items()
+        if d == deflate and (deflate or s is shift)
+    )
 
 
 def _cmd_eig(args) -> int:
@@ -121,9 +121,10 @@ def _cmd_eig(args) -> int:
     cfg = _eig_config(args)
     solve = baseline_qr if args.no_deflate else enhanced_shifted_qr
     report = solve(m, cfg)
+    label = _solver_label(args)
     final_norm = report.trace[-1].subdiag_norm if report.trace else subdiagonal_norm(m)
     print(f"n: {m.shape[0]}")
-    print(f"solver: {_solver_label(args)}")
+    print(f"solver: {label}")
     _print_values("eigenvalues", report.eigenvalues)
     print(f"iterations: {report.iterations}")
     print(f"qr steps: {report.qr_steps}")
@@ -133,7 +134,7 @@ def _cmd_eig(args) -> int:
     print(f"max trace drift: {report.max_trace_drift:.6e}")
     if args.trace:
         try:
-            emit_trace_csv(report.trace, args.trace, solver=_solver_label(args))
+            emit_trace_csv(report.trace, args.trace, solver=label)
         except OSError as exc:
             raise _CliError(EXIT_INPUT, f"{args.trace}: {exc}") from exc
         print(f"wrote trace: {args.trace}")
@@ -228,17 +229,20 @@ def _build_parser() -> _Parser:
     )
     p.set_defaults(func=_cmd_factor)
 
+    defaults = SolverConfig()
     p = sub.add_parser("eig", help="compute eigenvalues of a matrix file")
     p.add_argument("file")
     p.add_argument(
-        "--shift", choices=[s.value for s in ShiftStrategy], default="wilkinson"
+        "--shift", choices=[s.value for s in ShiftStrategy], default=defaults.shift.value
     )
     p.add_argument("--no-deflate", action="store_true", help="bare iteration, no deflation sweep")
     p.add_argument("--no-balance", action="store_true", help="skip the balancing pre-pass")
-    p.add_argument("--eps", type=float, default=1e-10, help="convergence tolerance")
-    p.add_argument("--dtol", type=float, default=1e-12, help="deflation tolerance")
-    p.add_argument("--kmax", type=int, default=1000, help="iteration cap")
-    p.add_argument("--mode", choices=[m.value for m in DeflationMode], default="paper")
+    p.add_argument("--eps", type=float, default=defaults.eps, help="convergence tolerance")
+    p.add_argument("--dtol", type=float, default=defaults.deflation_tol, help="deflation tolerance")
+    p.add_argument("--kmax", type=int, default=defaults.k_max, help="iteration cap")
+    p.add_argument(
+        "--mode", choices=[m.value for m in DeflationMode], default=defaults.deflation_mode.value
+    )
     p.add_argument("--trace", metavar="OUT.CSV", help="write per-iteration trace CSV")
     p.add_argument("--strict", action="store_true", help="exit 4 if the solve did not converge")
     p.set_defaults(func=_cmd_eig)

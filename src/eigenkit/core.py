@@ -12,7 +12,6 @@ __all__ = [
     "BalanceRecord",
     "as_matrix",
     "require_square",
-    "matmul",
     "frobenius_norm",
     "offdiagonal_norm",
     "subdiagonal_norm",
@@ -38,15 +37,6 @@ def require_square(a: np.ndarray) -> np.ndarray:
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product A @ B with an explicit dimension check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
 
 
 def frobenius_norm(a) -> float:

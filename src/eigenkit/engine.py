@@ -1,21 +1,24 @@
 """Iteration drivers for eigenvalue computation.
 
-Two drivers share the same QR step and report format:
+One shifted-QR pass loop serves two public entry points, which differ only
+in whether the loop deflates:
 
 ``enhanced_shifted_qr``
-    Shifted iteration with a per-iteration deflation sweep and an optional
-    balancing pre-pass. Each outer pass either deflates one converged
-    eigenvalue (shrinking the active block by one) or performs a single
-    shifted QR step; the run ends when the active block is 1x1, when its
-    strictly-lower-triangular norm drops below ``eps``, or when ``k_max``
-    passes are exhausted.
+    Deflating. Each pass first runs the deflation sweep; a hit extracts one
+    converged eigenvalue and shrinks the active block by one, otherwise the
+    pass performs a single shifted QR step. Balancing is on by default. The
+    run ends when the active block is 1x1 (one last extraction pass), when
+    its strictly-lower-triangular norm drops below ``eps``, or when
+    ``k_max`` passes are exhausted.
 
 ``baseline_qr``
-    The plain comparison loop: one shifted QR step per pass, no deflation,
-    no balancing unless asked, stopping on the same norm test.
+    Not deflating: one shifted QR step per pass on the full matrix, no
+    balancing unless asked, stopping on the same norm test. The test also
+    runs before the first step, so triangular input takes zero passes.
 
-Reports are deterministic: identical input and config produce bit-identical
-eigenvalues, counters, and traces.
+Either way the eigenvalues are the extracted values followed by the
+diagonal of the final iterate. Reports are deterministic: identical input
+and config produce bit-identical eigenvalues, counters, and traces.
 """
 
 import enum
@@ -55,10 +58,13 @@ class NumericalBreakdownError(ArithmeticError):
 class DeflationMode(enum.Enum):
     """How aggressively the deflation sweep scans.
 
-    PAPER scans every row from the trailing one upward and deflates at the
-    first hit, interior rows included. TRAILING_ONLY tests just the trailing
-    row, which is the only position where a small row is a mathematically
-    safe deflation for a general dense matrix.
+    TRAILING_ONLY (the default) tests just the trailing row, which is the
+    only position where a small row is a mathematically safe deflation for
+    a general dense matrix. PAPER scans every row from the trailing one
+    upward and deflates at the first hit, interior rows included. That is
+    unsound on a dense iterate: a small strictly-left row part does not
+    decouple the row, so the extracted diagonal entry need not be an
+    eigenvalue, yet the solve still reports convergence.
     """
 
     PAPER = "paper"
@@ -78,7 +84,7 @@ class SolverConfig:
     deflation_tol: float = 1e-12
     shift: ShiftStrategy = ShiftStrategy.WILKINSON
     qr_method: QRMethod = QRMethod.HOUSEHOLDER
-    deflation_mode: DeflationMode = DeflationMode.PAPER
+    deflation_mode: DeflationMode = DeflationMode.TRAILING_ONLY
     do_balance: bool | None = None
 
     def __post_init__(self):
@@ -137,11 +143,11 @@ def qr_step(a, shift: complex = 0.0, method: QRMethod = QRMethod.HOUSEHOLDER) ->
     return factors.r @ factors.q + mu * eye
 
 
-def deflation_sweep(a, deflation_tol: float, mode: DeflationMode = DeflationMode.PAPER):
+def deflation_sweep(a, deflation_tol: float, mode: DeflationMode = DeflationMode.TRAILING_ONLY):
     """Extract at most one converged eigenvalue from the active block.
 
-    Scans row indices from n-1 down to 1 (or just n-1 in TRAILING_ONLY
-    mode); at the first row whose strictly-left part has norm below
+    Tests just row n-1 (or, in PAPER mode, every row from n-1 down to 1);
+    at the first row whose strictly-left part has norm below
     ``deflation_tol``, its diagonal entry is extracted and the row/column
     removed. Returns ``(matrix, extracted)`` where ``extracted`` is empty or
     a single-element list.
@@ -178,30 +184,11 @@ def _checked_step(work, mu, cfg, iteration):
     return stepped
 
 
-def enhanced_shifted_qr(a, cfg: SolverConfig | None = None) -> EigenReport:
-    """Shifted QR with per-pass deflation and a balancing pre-pass.
-
-    Parameters
-    ----------
-    a : array_like
-        Square matrix with finite entries. Real input is promoted to
-        complex; single-shift iterations need complex arithmetic to reach
-        complex eigenvalues at all.
-    cfg : SolverConfig, optional
-        Defaults to ``SolverConfig()`` (Wilkinson shift, Householder kernel,
-        balancing on).
-
-    Returns
-    -------
-    EigenReport
-        Eigenvalues, pass/deflation counters, convergence flag, and the
-        per-pass trace. Iteration counting includes deflation-only passes
-        and the final 1x1 extraction pass.
-    """
+def _iterate(a, cfg: SolverConfig | None, deflate: bool) -> EigenReport:
     cfg = cfg or SolverConfig()
-    original = require_square(a)
-    work = original
-    if cfg.do_balance is not False:
+    work = require_square(a)
+    do_balance = deflate if cfg.do_balance is None else cfg.do_balance
+    if do_balance:
         work = balance(work).matrix
     extracted: list[complex] = []
     trace: list[TraceRecord] = []
@@ -209,15 +196,16 @@ def enhanced_shifted_qr(a, cfg: SolverConfig | None = None) -> EigenReport:
     deflations = 0
     qr_steps = 0
     max_drift = 0.0
-    converged = False
-    while iterations < cfg.k_max:
+    # Without deflation, convergence is tested before the first step, so a
+    # triangular input costs no pass; with it, such input deflates row by row.
+    converged = not deflate and subdiagonal_norm(work) < cfg.eps
+    while not converged and iterations < cfg.k_max:
         iterations += 1
-        if work.shape[0] >= 2:
-            reduced, vals = deflation_sweep(work, cfg.deflation_tol, cfg.deflation_mode)
+        if deflate and work.shape[0] >= 2:
+            work, vals = deflation_sweep(work, cfg.deflation_tol, cfg.deflation_mode)
             if vals:
                 extracted.extend(vals)
                 deflations += 1
-                work = reduced
                 trace.append(TraceRecord(
                     iteration=iterations,
                     dimension=work.shape[0],
@@ -227,8 +215,7 @@ def enhanced_shifted_qr(a, cfg: SolverConfig | None = None) -> EigenReport:
                     deflated=True,
                 ))
                 continue
-        if work.shape[0] == 1:
-            extracted.append(complex(work[0, 0]))
+        if deflate and work.shape[0] == 1:
             trace.append(TraceRecord(
                 iteration=iterations,
                 dimension=1,
@@ -253,15 +240,9 @@ def enhanced_shifted_qr(a, cfg: SolverConfig | None = None) -> EigenReport:
             shift=mu,
             deflated=False,
         ))
-        if sub_norm < cfg.eps:
-            extracted.extend(complex(z) for z in np.diag(work))
-            converged = True
-            break
-    eigenvalues = list(extracted)
-    if not converged:
-        eigenvalues.extend(complex(z) for z in np.diag(work))
+        converged = sub_norm < cfg.eps
     return EigenReport(
-        eigenvalues=eigenvalues,
+        eigenvalues=extracted + [complex(z) for z in np.diag(work)],
         iterations=iterations,
         deflations=deflations,
         converged=converged,
@@ -271,6 +252,29 @@ def enhanced_shifted_qr(a, cfg: SolverConfig | None = None) -> EigenReport:
     )
 
 
+def enhanced_shifted_qr(a, cfg: SolverConfig | None = None) -> EigenReport:
+    """Shifted QR with per-pass deflation and a balancing pre-pass.
+
+    Parameters
+    ----------
+    a : array_like
+        Square matrix with finite entries. Real input is promoted to
+        complex; single-shift iterations need complex arithmetic to reach
+        complex eigenvalues at all.
+    cfg : SolverConfig, optional
+        Defaults to ``SolverConfig()`` (Wilkinson shift, Householder kernel,
+        balancing on).
+
+    Returns
+    -------
+    EigenReport
+        Eigenvalues, pass/deflation counters, convergence flag, and the
+        per-pass trace. Iteration counting includes deflation-only passes
+        and the final 1x1 extraction pass.
+    """
+    return _iterate(a, cfg, deflate=True)
+
+
 def baseline_qr(a, cfg: SolverConfig | None = None) -> EigenReport:
     """Plain shifted QR loop: no deflation, no balancing unless asked.
 
@@ -278,39 +282,4 @@ def baseline_qr(a, cfg: SolverConfig | None = None) -> EigenReport:
     reports zero iterations. The diagonal of the final iterate is reported
     as the eigenvalue multiset whether or not the loop converged.
     """
-    cfg = cfg or SolverConfig()
-    work = require_square(a)
-    if cfg.do_balance is True:
-        work = balance(work).matrix
-    trace: list[TraceRecord] = []
-    iterations = 0
-    max_drift = 0.0
-    converged = False
-    while True:
-        if subdiagonal_norm(work) < cfg.eps:
-            converged = True
-            break
-        if iterations >= cfg.k_max:
-            break
-        iterations += 1
-        mu = _shift_value(work, cfg.shift)
-        trace_before = complex(np.trace(work))
-        work = _checked_step(work, mu, cfg, iterations)
-        max_drift = max(max_drift, abs(complex(np.trace(work)) - trace_before))
-        trace.append(TraceRecord(
-            iteration=iterations,
-            dimension=work.shape[0],
-            subdiag_norm=subdiagonal_norm(work),
-            offdiag_norm=offdiagonal_norm(work),
-            shift=mu,
-            deflated=False,
-        ))
-    return EigenReport(
-        eigenvalues=[complex(z) for z in np.diag(work)],
-        iterations=iterations,
-        deflations=0,
-        converged=converged,
-        trace=trace,
-        qr_steps=iterations,
-        max_trace_drift=max_drift,
-    )
+    return _iterate(a, cfg, deflate=False)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import as_matrix
 
-__all__ = ["MatrixFormatError", "read_matrix", "write_matrix"]
+__all__ = ["MatrixFormatError", "format_complex", "read_matrix", "write_matrix"]
 
 _MM_EXTENSIONS = {".mtx", ".mm"}
 _CSV_EXTENSIONS = {".csv"}
@@ -38,7 +38,12 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _format_entry_csv(z: complex) -> str:
+def format_complex(z: complex) -> str:
+    """Format ``z`` as a CSV matrix entry: ``1.5+2i``, ``3`` or ``-0.25i``.
+
+    Parts are written with 17 significant digits; the imaginary part is
+    omitted when zero, the real part when the entry is purely imaginary.
+    """
     if z.imag == 0.0:
         return _fmt(z.real)
     if z.real == 0.0:
@@ -155,7 +160,7 @@ def _read_matrix_market(path: Path) -> np.ndarray:
 
 
 def _write_csv(m: np.ndarray, path: Path) -> None:
-    lines = [",".join(_format_entry_csv(z) for z in row) for row in m]
+    lines = [",".join(format_complex(z) for z in row) for row in m]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

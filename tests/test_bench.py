@@ -7,8 +7,9 @@ from eigenkit.bench import (
     emit_trace_csv,
     run_comparison,
 )
-from eigenkit.engine import SolverConfig, TraceRecord, enhanced_shifted_qr
-from eigenkit.ensemble import EnsembleSpec
+from eigenkit.engine import SolverConfig, TraceRecord, baseline_qr, enhanced_shifted_qr
+from eigenkit.ensemble import EnsembleSpec, generate_matrix
+from eigenkit.shifts import ShiftStrategy
 
 
 def test_solver_registry():
@@ -123,15 +124,25 @@ def test_trace_csv_deterministic_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_report_rows_match_solver_output():
-    spec = EnsembleSpec(dimension=4, count=1, seed=13)
-    report = run_comparison(spec, ["enhanced"])
-    row = report.rows[0]
-    from eigenkit.ensemble import generate_matrix
+# What each solver name means, spelled out independently of bench's table.
+DIRECT_CALLS = {
+    "enhanced": (enhanced_shifted_qr, ShiftStrategy.WILKINSON, True),
+    "wilkinson-nodeflate": (baseline_qr, ShiftStrategy.WILKINSON, False),
+    "rayleigh": (baseline_qr, ShiftStrategy.RAYLEIGH, False),
+    "plain": (baseline_qr, ShiftStrategy.NO_SHIFT, False),
+}
 
-    direct = enhanced_shifted_qr(
-        generate_matrix(spec, 0), SolverConfig(do_balance=True)
+
+@pytest.mark.parametrize("name", SOLVER_NAMES)
+def test_report_rows_match_solver_output(name):
+    spec = EnsembleSpec(dimension=4, count=1, seed=13)
+    cfg = SolverConfig(k_max=200)
+    row = run_comparison(spec, [name], cfg).rows[0]
+    solve, shift, balance = DIRECT_CALLS[name]
+    direct = solve(
+        generate_matrix(spec, 0), SolverConfig(k_max=200, shift=shift, do_balance=balance)
     )
     assert row.iterations == direct.iterations
+    assert row.converged == direct.converged
     assert row.eigenvalues == tuple(direct.eigenvalues)
     assert row.trace == tuple(direct.trace)

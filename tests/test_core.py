@@ -5,7 +5,6 @@ from eigenkit.core import (
     as_matrix,
     balance,
     frobenius_norm,
-    matmul,
     offdiagonal_norm,
     remove_row_col,
     require_square,
@@ -36,16 +35,6 @@ def test_as_matrix_rejects_bad_shapes():
 def test_require_square():
     with pytest.raises(ValueError):
         require_square(np.zeros((2, 3)))
-
-
-def test_matmul():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(matmul(np.eye(3), np.ones((3, 3))), np.ones((3, 3)))
-    assert np.array_equal(matmul(a, np.zeros((2, 2))), np.zeros((2, 2)))
-    x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert np.array_equal(matmul(x, x), np.eye(2))
-    with pytest.raises(ValueError):
-        matmul(np.eye(2), np.eye(3))
 
 
 def test_frobenius_norm():

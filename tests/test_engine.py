@@ -26,7 +26,7 @@ class TestSolverConfig:
         assert cfg.deflation_tol == 1e-12
         assert cfg.shift is ShiftStrategy.WILKINSON
         assert cfg.qr_method is QRMethod.HOUSEHOLDER
-        assert cfg.deflation_mode is DeflationMode.PAPER
+        assert cfg.deflation_mode is DeflationMode.TRAILING_ONLY
         assert cfg.do_balance is None
 
     @pytest.mark.parametrize(
@@ -273,6 +273,28 @@ class TestBaselineQr:
         forced = baseline_qr(a, SolverConfig(do_balance=True))
         assert forced.converged
         assert match_eigenvalues(forced.eigenvalues, eigenvalues_oracle(a)) <= 1e-8
+
+
+def test_default_mode_does_not_extract_an_interior_row():
+    # PAPER mode extracts 5 here (row 1 has a zero left part), which is not
+    # an eigenvalue; the default must not.
+    a = np.array([[1.0, 2.0, 3.0], [0.0, 5.0, 1.0], [4.0, 7.0, 2.0]])
+    report = enhanced_shifted_qr(a, SolverConfig(do_balance=False))
+    assert report.converged
+    assert match_eigenvalues(report.eigenvalues, eigenvalues_oracle(a)) <= 1e-8
+
+
+@pytest.mark.parametrize("solve", [enhanced_shifted_qr, baseline_qr])
+def test_k_max_boundary(solve):
+    a = np.random.default_rng(111).standard_normal((5, 5))
+    steps = solve(a).iterations
+    assert steps >= 2
+    at_cap = solve(a, SolverConfig(k_max=steps))
+    assert at_cap.converged
+    assert at_cap.iterations == steps
+    short = solve(a, SolverConfig(k_max=steps - 1))
+    assert not short.converged
+    assert short.iterations == steps - 1
 
 
 def test_modes_share_result_on_generic_input():
