@@ -13,7 +13,6 @@ from .core import (
     as_matrix,
     balance,
     frobenius_norm,
-    offdiagonal_norm,
     remove_row_col,
     require_square,
     row_left_norm,
@@ -69,8 +68,8 @@ __all__ = [
     "__version__",
     # core
     "BalanceRecord", "as_matrix", "balance", "frobenius_norm",
-    "offdiagonal_norm", "remove_row_col", "require_square", "row_left_norm",
-    "subdiagonal_norm", "trailing_2x2",
+    "remove_row_col", "require_square", "row_left_norm", "subdiagonal_norm",
+    "trailing_2x2",
     # qr
     "QRFactors", "QRMethod", "RankDeficiencyError", "factorize", "givens_qr",
     "gram_schmidt_qr", "householder_qr",

@@ -26,7 +26,7 @@ import dataclasses
 import statistics
 import time
 
-from .core import as_matrix, require_square, subdiagonal_norm
+from .core import require_square
 from .engine import SolverConfig, TraceRecord, baseline_qr, enhanced_shifted_qr
 from .ensemble import EnsembleSpec, generate_ensemble
 from .shifts import ShiftStrategy
@@ -70,8 +70,6 @@ class ComparisonRow:
     solver: str
     iterations: int
     converged: bool
-    deflations: int
-    final_subdiag_norm: float
     wall_time: float
     eigenvalues: tuple[complex, ...]
     trace: tuple[TraceRecord, ...]
@@ -110,25 +108,17 @@ def _solve_cell(index: int, m, name: str, cfg: SolverConfig) -> ComparisonRow:
             solver=name,
             iterations=0,
             converged=False,
-            deflations=0,
-            final_subdiag_norm=float("nan"),
             wall_time=time.perf_counter() - start,
             eigenvalues=(),
             trace=(),
             error=str(exc),
         )
-    elapsed = time.perf_counter() - start
-    # A zero-iteration converged run has an empty trace; the input itself is
-    # the final iterate then.
-    final_norm = report.trace[-1].subdiag_norm if report.trace else subdiagonal_norm(m)
     return ComparisonRow(
         matrix_index=index,
         solver=name,
         iterations=report.iterations,
         converged=report.converged,
-        deflations=report.deflations,
-        final_subdiag_norm=final_norm,
-        wall_time=elapsed,
+        wall_time=time.perf_counter() - start,
         eigenvalues=tuple(report.eigenvalues),
         trace=tuple(report.trace),
         error=None,
@@ -176,7 +166,7 @@ def run_comparison(ensemble, solvers, cfg: SolverConfig | None = None) -> Compar
     if isinstance(ensemble, EnsembleSpec):
         matrices = generate_ensemble(ensemble)
     else:
-        matrices = [require_square(as_matrix(m)) for m in ensemble]
+        matrices = [require_square(m) for m in ensemble]
         if not matrices:
             raise ValueError("ensemble must contain at least one matrix")
 

@@ -13,7 +13,6 @@ __all__ = [
     "as_matrix",
     "require_square",
     "frobenius_norm",
-    "offdiagonal_norm",
     "subdiagonal_norm",
     "row_left_norm",
     "remove_row_col",
@@ -42,13 +41,6 @@ def require_square(a: np.ndarray) -> np.ndarray:
 def frobenius_norm(a) -> float:
     """sqrt of the sum of squared moduli of all entries."""
     return float(np.linalg.norm(as_matrix(a)))
-
-
-def offdiagonal_norm(a) -> float:
-    """Frobenius norm of all entries off the main diagonal (both triangles)."""
-    m = require_square(a).copy()
-    np.fill_diagonal(m, 0.0)
-    return float(np.linalg.norm(m))
 
 
 def subdiagonal_norm(a) -> float:

@@ -16,6 +16,8 @@ in whether the loop deflates:
     balancing unless asked, stopping on the same norm test. The test also
     runs before the first step, so triangular input takes zero passes.
 
+Every QR step factors with ``householder_qr``; the other kernels of
+``eigenkit.qr`` serve ``eigenkit factor`` and tests, not the drivers.
 Either way the eigenvalues are the extracted values followed by the
 diagonal of the final iterate. Reports are deterministic: identical input
 and config produce bit-identical eigenvalues, counters, and traces.
@@ -28,14 +30,13 @@ import numpy as np
 
 from .core import (
     balance,
-    offdiagonal_norm,
     remove_row_col,
     require_square,
     row_left_norm,
     subdiagonal_norm,
     trailing_2x2,
 )
-from .qr import QRMethod, factorize
+from .qr import householder_qr
 from .shifts import ShiftStrategy, rayleigh_shift, wilkinson_shift
 
 __all__ = [
@@ -73,7 +74,10 @@ class DeflationMode(enum.Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs shared by both drivers.
+    """Knobs shared by both drivers: the iteration cap ``k_max``, the
+    convergence and deflation tolerances ``eps`` and ``deflation_tol``
+    (absolute), the ``shift`` strategy, the ``deflation_mode`` and
+    ``do_balance``. The QR kernel is not a knob: steps always use Householder.
 
     ``do_balance`` is tri-state: None means "driver default" (on for the
     enhanced driver, off for baselines); an explicit bool wins either way.
@@ -83,7 +87,6 @@ class SolverConfig:
     eps: float = 1e-10
     deflation_tol: float = 1e-12
     shift: ShiftStrategy = ShiftStrategy.WILKINSON
-    qr_method: QRMethod = QRMethod.HOUSEHOLDER
     deflation_mode: DeflationMode = DeflationMode.TRAILING_ONLY
     do_balance: bool | None = None
 
@@ -100,12 +103,18 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One outer-loop pass: what the active block looked like afterwards."""
+    """One outer-loop pass: what the active block looked like afterwards.
+
+    ``iteration`` is the 1-based pass number, ``dimension`` the active block's
+    size after the pass, ``subdiag_norm`` the Frobenius norm of its strictly
+    lower triangle (0 for the final 1x1 pass), ``shift`` the shift used (0 on
+    a pass that only deflated) and ``deflated`` whether the pass extracted an
+    eigenvalue instead of stepping.
+    """
 
     iteration: int
     dimension: int
     subdiag_norm: float
-    offdiag_norm: float
     shift: complex
     deflated: bool
 
@@ -129,8 +138,8 @@ class EigenReport:
     max_trace_drift: float = 0.0
 
 
-def qr_step(a, shift: complex = 0.0, method: QRMethod = QRMethod.HOUSEHOLDER) -> np.ndarray:
-    """One shifted QR step: factor (A - mu*I) = QR, return RQ + mu*I.
+def qr_step(a, shift: complex = 0.0) -> np.ndarray:
+    """One shifted QR step: factor (A - mu*I) = QR by Householder, return RQ + mu*I.
 
     The result equals Q^H A Q, a unitary similarity, so the spectrum and the
     trace are preserved.
@@ -139,7 +148,7 @@ def qr_step(a, shift: complex = 0.0, method: QRMethod = QRMethod.HOUSEHOLDER) ->
     n = m.shape[0]
     mu = complex(shift)
     eye = np.eye(n, dtype=np.complex128)
-    factors = factorize(m - mu * eye, method)
+    factors = householder_qr(m - mu * eye)
     return factors.r @ factors.q + mu * eye
 
 
@@ -173,10 +182,10 @@ def _shift_value(work: np.ndarray, strategy: ShiftStrategy) -> complex:
     raise ValueError(f"unknown shift strategy: {strategy!r}")
 
 
-def _checked_step(work, mu, cfg, iteration):
+def _checked_step(work, mu, iteration):
     if not (np.isfinite(mu.real) and np.isfinite(mu.imag)):
         raise NumericalBreakdownError(f"non-finite shift at iteration {iteration}")
-    stepped = qr_step(work, mu, cfg.qr_method)
+    stepped = qr_step(work, mu)
     if not np.isfinite(stepped).all():
         raise NumericalBreakdownError(
             f"non-finite iterate at iteration {iteration}"
@@ -210,7 +219,6 @@ def _iterate(a, cfg: SolverConfig | None, deflate: bool) -> EigenReport:
                     iteration=iterations,
                     dimension=work.shape[0],
                     subdiag_norm=subdiagonal_norm(work),
-                    offdiag_norm=offdiagonal_norm(work),
                     shift=0.0j,
                     deflated=True,
                 ))
@@ -220,7 +228,6 @@ def _iterate(a, cfg: SolverConfig | None, deflate: bool) -> EigenReport:
                 iteration=iterations,
                 dimension=1,
                 subdiag_norm=0.0,
-                offdiag_norm=0.0,
                 shift=0.0j,
                 deflated=False,
             ))
@@ -228,7 +235,7 @@ def _iterate(a, cfg: SolverConfig | None, deflate: bool) -> EigenReport:
             break
         mu = _shift_value(work, cfg.shift)
         trace_before = complex(np.trace(work))
-        work = _checked_step(work, mu, cfg, iterations)
+        work = _checked_step(work, mu, iterations)
         qr_steps += 1
         max_drift = max(max_drift, abs(complex(np.trace(work)) - trace_before))
         sub_norm = subdiagonal_norm(work)
@@ -236,7 +243,6 @@ def _iterate(a, cfg: SolverConfig | None, deflate: bool) -> EigenReport:
             iteration=iterations,
             dimension=work.shape[0],
             subdiag_norm=sub_norm,
-            offdiag_norm=offdiagonal_norm(work),
             shift=mu,
             deflated=False,
         ))
@@ -262,8 +268,8 @@ def enhanced_shifted_qr(a, cfg: SolverConfig | None = None) -> EigenReport:
         complex; single-shift iterations need complex arithmetic to reach
         complex eigenvalues at all.
     cfg : SolverConfig, optional
-        Defaults to ``SolverConfig()`` (Wilkinson shift, Householder kernel,
-        balancing on).
+        Defaults to ``SolverConfig()`` (Wilkinson shift, trailing-row
+        deflation, balancing on).
 
     Returns
     -------

@@ -77,7 +77,11 @@ def write_matrix(a, path) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a matrix from ``path`` in the format implied by its extension."""
+    """Read a matrix from ``path`` in the format implied by its extension.
+
+    Raises MatrixFormatError, naming the line, for an unparsable file and for
+    a NaN or infinite entry.
+    """
     path = Path(path)
     suffix = path.suffix.lower()
     if suffix in _MM_EXTENSIONS:
@@ -115,14 +119,10 @@ def _read_matrix_market(path: Path) -> np.ndarray:
     if sym != "general":
         raise MatrixFormatError(path, 1, f"unsupported symmetry {sym!r}")
 
-    line_no = 1
     size = None
     values = []
     expected = None
-    for line_no, line in enumerate(raw[1:], start=2):
-        text = line.strip()
-        if not text or text.startswith("%"):
-            continue
+    for line_no, text in _mm_content(raw):
         if size is None:
             parts = text.split()
             if len(parts) != 2:
@@ -150,13 +150,37 @@ def _read_matrix_market(path: Path) -> np.ndarray:
         if len(values) > expected:
             raise MatrixFormatError(path, line_no, "more values than rows*cols")
     if size is None:
-        raise MatrixFormatError(path, line_no, "missing size line")
+        raise MatrixFormatError(path, len(raw), "missing size line")
     if len(values) != expected:
         raise MatrixFormatError(
-            path, line_no, f"expected {expected} values, found {len(values)}"
+            path, len(raw), f"expected {expected} values, found {len(values)}"
         )
+    flat = np.array(values, dtype=np.complex128)
+    # Value k sits on the content line after the size line and k others.
+    _require_finite(flat, path, lambda k: list(_mm_content(raw))[k + 1][0])
     rows, cols = size
-    return np.array(values, dtype=np.complex128).reshape((cols, rows)).T.copy()
+    return flat.reshape((cols, rows)).T.copy()
+
+
+def _mm_content(raw):
+    """(line number, text) of each line after the header that is neither
+    blank nor a comment."""
+    for line_no, line in enumerate(raw[1:], start=2):
+        text = line.strip()
+        if text and not text.startswith("%"):
+            yield line_no, text
+
+
+def _require_finite(values: np.ndarray, path, line_of) -> None:
+    """Raise MatrixFormatError unless every entry of ``values`` is finite.
+
+    One vectorized test covers the whole array; ``line_of`` maps the flat
+    index of the first bad entry to its line and runs only on failure.
+    """
+    finite = np.isfinite(values)
+    if not finite.all():
+        index = int(np.argmin(finite.ravel()))
+        raise MatrixFormatError(path, line_of(index), "non-finite matrix entry (NaN or Inf)")
 
 
 def _write_csv(m: np.ndarray, path: Path) -> None:
@@ -184,4 +208,9 @@ def _read_csv(path: Path) -> np.ndarray:
         rows.append(entries)
     if not rows:
         raise MatrixFormatError(path, 1, "no matrix rows found")
-    return np.array(rows, dtype=np.complex128)
+    m = np.array(rows, dtype=np.complex128)
+    # Matrix row r is the r-th non-blank line.
+    _require_finite(
+        m, path, lambda k: [i for i, line in enumerate(raw, start=1) if line.strip()][k // width]
+    )
+    return m

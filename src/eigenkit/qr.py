@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix, frobenius_norm, require_square
+from .core import frobenius_norm, require_square
 
 __all__ = [
     "QRMethod",
@@ -178,8 +178,7 @@ def gram_schmidt_qr(a, variant: str = "modified") -> QRFactors:
 
 
 def factorize(a, method: QRMethod = QRMethod.HOUSEHOLDER) -> QRFactors:
-    """Dispatch to the kernel selected by ``method``."""
-    a = as_matrix(a)
+    """Dispatch to the kernel selected by ``method``; the kernel validates ``a``."""
     if method is QRMethod.HOUSEHOLDER:
         return householder_qr(a)
     if method is QRMethod.GIVENS:

@@ -95,7 +95,7 @@ def test_solver_error_recorded_not_fatal():
 
 def test_trace_csv_single_record(tmp_path):
     rec = TraceRecord(
-        iteration=1, dimension=3, subdiag_norm=0.5, offdiag_norm=0.7,
+        iteration=1, dimension=3, subdiag_norm=0.5,
         shift=1.5 - 0.5j, deflated=False,
     )
     path = tmp_path / "one.csv"

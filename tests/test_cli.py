@@ -81,6 +81,21 @@ def test_eig_nonsquare_is_input_error(tmp_path):
     assert main(["eig", str(path)]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("command", ["eig", "factor", "oracle"])
+@pytest.mark.parametrize(
+    "name,content",
+    [
+        ("nan.csv", "1,2\nnan,4\n"),
+        ("inf.mtx", "%%MatrixMarket matrix array real general\n1 1\ninf\n"),
+    ],
+)
+def test_non_finite_entry_is_input_error(tmp_path, capsys, command, name, content):
+    path = tmp_path / name
+    path.write_text(content)
+    assert main([command, str(path)]) == EXIT_INPUT
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_eig_strict_nonconvergence(rotation_file):
     args = ["eig", rotation_file, "--no-deflate", "--shift", "none", "--kmax", "50"]
     assert main(args) == EXIT_OK  # partial results are not an error

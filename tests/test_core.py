@@ -5,7 +5,6 @@ from eigenkit.core import (
     as_matrix,
     balance,
     frobenius_norm,
-    offdiagonal_norm,
     remove_row_col,
     require_square,
     row_left_norm,

@@ -14,7 +14,6 @@ from eigenkit.engine import (
     qr_step,
 )
 from eigenkit.oracle import eigenvalues_oracle, match_eigenvalues
-from eigenkit.qr import QRMethod
 from eigenkit.shifts import ShiftStrategy
 
 
@@ -25,7 +24,6 @@ class TestSolverConfig:
         assert cfg.eps == 1e-10
         assert cfg.deflation_tol == 1e-12
         assert cfg.shift is ShiftStrategy.WILKINSON
-        assert cfg.qr_method is QRMethod.HOUSEHOLDER
         assert cfg.deflation_mode is DeflationMode.TRAILING_ONLY
         assert cfg.do_balance is None
 
@@ -66,12 +64,6 @@ class TestQrStep:
         a = np.array([[2.0, 1.0], [1.0, 2.0]])
         out = qr_step(a, 1.0)
         assert abs(out[1, 0]) < 1.0
-
-    def test_method_selectable(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        for method in QRMethod:
-            out = qr_step(a, 0.5, method)
-            assert abs(np.trace(out) - np.trace(a)) <= 1e-12
 
 
 class TestDeflationSweep:
@@ -205,33 +197,6 @@ class TestEnhancedShiftedQr:
         unbalanced = enhanced_shifted_qr(a, SolverConfig(do_balance=False))
         # Same spectrum either way; the runs themselves may differ.
         assert match_eigenvalues(default.eigenvalues, unbalanced.eigenvalues) <= 1e-7
-
-    def test_honors_qr_method(self):
-        rng = np.random.default_rng(71)
-        a = rng.standard_normal((4, 4))
-        ref = eigenvalues_oracle(a)
-        for method in (QRMethod.HOUSEHOLDER, QRMethod.GIVENS):
-            report = enhanced_shifted_qr(a, SolverConfig(qr_method=method))
-            assert report.converged
-            assert match_eigenvalues(report.eigenvalues, ref) <= 1e-6
-
-    def test_gram_schmidt_kernel_propagates_or_converges(self):
-        # A good shift makes A - mu*I nearly singular right before deflation,
-        # which is exactly where Gram-Schmidt may hit its pivot threshold.
-        # Both outcomes are contractual: a correct result, or the kernel's
-        # rank-deficiency error propagating out.
-        from eigenkit.qr import RankDeficiencyError
-
-        rng = np.random.default_rng(71)
-        a = rng.standard_normal((4, 4))
-        try:
-            report = enhanced_shifted_qr(
-                a, SolverConfig(qr_method=QRMethod.GRAM_SCHMIDT_MODIFIED)
-            )
-        except RankDeficiencyError:
-            return
-        assert report.converged
-        assert match_eigenvalues(report.eigenvalues, eigenvalues_oracle(a)) <= 1e-6
 
 
 class TestBaselineQr:

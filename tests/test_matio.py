@@ -129,3 +129,37 @@ def test_unknown_extension_rejected(tmp_path):
 def test_missing_file():
     with pytest.raises((MatrixFormatError, OSError)):
         read_matrix("/nonexistent/nowhere.mtx")
+
+
+@pytest.mark.parametrize(
+    "content,line",
+    [
+        ("1,2\nnan,4\n", 2),
+        ("\n1,2\n\n3,-inf\n", 4),
+        ("1,infi\n2,3\n", 1),
+    ],
+)
+def test_csv_non_finite_entry_names_its_line(tmp_path, content, line):
+    path = tmp_path / "bad.csv"
+    path.write_text(content)
+    with pytest.raises(MatrixFormatError) as err:
+        read_matrix(path)
+    assert err.value.line_no == line
+    assert "non-finite" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "content,line",
+    [
+        ("%%MatrixMarket matrix array real general\n2 1\n1\ninf\n", 4),
+        ("%%MatrixMarket matrix array real general\n% c\n1 2\n\n5\n% c\n-inf\n", 7),
+        ("%%MatrixMarket matrix array complex general\n1 1\n1 nan\n", 3),
+    ],
+)
+def test_matrix_market_non_finite_entry_names_its_line(tmp_path, content, line):
+    path = tmp_path / "bad.mtx"
+    path.write_text(content)
+    with pytest.raises(MatrixFormatError) as err:
+        read_matrix(path)
+    assert err.value.line_no == line
+    assert "non-finite" in str(err.value)

@@ -13,7 +13,7 @@ SVG_NS = "{http://www.w3.org/2000/svg}"
 
 def _rec(i, norm, dim=3, deflated=False):
     return TraceRecord(
-        iteration=i, dimension=dim, subdiag_norm=norm, offdiag_norm=norm,
+        iteration=i, dimension=dim, subdiag_norm=norm,
         shift=0j, deflated=deflated,
     )
 
