@@ -17,7 +17,6 @@ from .core import (
     require_square,
     row_left_norm,
     subdiagonal_norm,
-    trailing_2x2,
 )
 from .qr import (
     QRFactors,
@@ -69,7 +68,6 @@ __all__ = [
     # core
     "BalanceRecord", "as_matrix", "balance", "frobenius_norm",
     "remove_row_col", "require_square", "row_left_norm", "subdiagonal_norm",
-    "trailing_2x2",
     # qr
     "QRFactors", "QRMethod", "RankDeficiencyError", "factorize", "givens_qr",
     "gram_schmidt_qr", "householder_qr",

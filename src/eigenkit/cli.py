@@ -62,14 +62,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _load_matrix(path, square: bool = True) -> np.ndarray:
+def _load_matrix(path) -> np.ndarray:
     try:
         m = read_matrix(path)
     except MatrixFormatError as exc:
         raise _CliError(EXIT_INPUT, str(exc)) from exc
     except (OSError, ValueError) as exc:
         raise _CliError(EXIT_INPUT, f"{path}: {exc}") from exc
-    if square and m.shape[0] != m.shape[1]:
+    if m.shape[0] != m.shape[1]:
         raise _CliError(EXIT_INPUT, f"{path}: expected a square matrix, got {m.shape}")
     return m
 

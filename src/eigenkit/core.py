@@ -16,7 +16,6 @@ __all__ = [
     "subdiagonal_norm",
     "row_left_norm",
     "remove_row_col",
-    "trailing_2x2",
     "balance",
 ]
 
@@ -77,14 +76,6 @@ def remove_row_col(a, j: int) -> np.ndarray:
     return np.delete(np.delete(m, j, axis=0), j, axis=1)
 
 
-def trailing_2x2(a) -> np.ndarray:
-    """The bottom-right 2x2 submatrix (the shift source for the iteration)."""
-    m = require_square(a)
-    if m.shape[0] < 2:
-        raise ValueError("trailing 2x2 block requires n >= 2")
-    return m[-2:, -2:].copy()
-
-
 @dataclass(frozen=True)
 class BalanceRecord:
     """Result of a balancing pass.
@@ -115,8 +106,14 @@ def balance(a) -> BalanceRecord:
     while changed:
         changed = False
         for i in range(n):
-            c = float(np.sum(np.abs(m[:, i])) - abs(m[i, i]))
-            r = float(np.sum(np.abs(m[i, :])) - abs(m[i, i]))
+            # Sum and diagonal come from one np.abs array: a scalar abs can
+            # differ from it in the last bit, and an off-diagonal mass of
+            # +-1e-16 in place of 0 makes the loops below apply spurious
+            # factors or never end.
+            col = np.abs(m[:, i])
+            row = np.abs(m[i, :])
+            c = float(col.sum() - col[i])
+            r = float(row.sum() - row[i])
             if c == 0.0 or r == 0.0:
                 continue
             s = c + r

@@ -34,7 +34,6 @@ from .core import (
     require_square,
     row_left_norm,
     subdiagonal_norm,
-    trailing_2x2,
 )
 from .qr import householder_qr
 from .shifts import ShiftStrategy, rayleigh_shift, wilkinson_shift
@@ -127,6 +126,9 @@ class EigenReport:
     holds n values (deflated ones plus the current diagonal) but
     ``converged`` is False. ``max_trace_drift`` is the largest per-step
     change of the active block's trace, a similarity-conservation diagnostic.
+    The counters are read off ``trace``, one record per pass: ``iterations``
+    counts all records, ``deflations`` the deflating ones and ``qr_steps``
+    the others whose block is at least 2x2.
     """
 
     eigenvalues: list[complex]
@@ -178,7 +180,7 @@ def _shift_value(work: np.ndarray, strategy: ShiftStrategy) -> complex:
     if strategy is ShiftStrategy.RAYLEIGH:
         return rayleigh_shift(work)
     if strategy is ShiftStrategy.WILKINSON:
-        return wilkinson_shift(trailing_2x2(work))
+        return wilkinson_shift(work[-2:, -2:])
     raise ValueError(f"unknown shift strategy: {strategy!r}")
 
 
@@ -201,59 +203,34 @@ def _iterate(a, cfg: SolverConfig | None, deflate: bool) -> EigenReport:
         work = balance(work).matrix
     extracted: list[complex] = []
     trace: list[TraceRecord] = []
-    iterations = 0
-    deflations = 0
-    qr_steps = 0
     max_drift = 0.0
     # Without deflation, convergence is tested before the first step, so a
     # triangular input costs no pass; with it, such input deflates row by row.
     converged = not deflate and subdiagonal_norm(work) < cfg.eps
-    while not converged and iterations < cfg.k_max:
-        iterations += 1
+    while not converged and len(trace) < cfg.k_max:
+        # A pass deflates, steps, or (deflating, once down to 1x1) only
+        # records the final block, whose zero norm then ends the loop.
+        hit = False
         if deflate and work.shape[0] >= 2:
             work, vals = deflation_sweep(work, cfg.deflation_tol, cfg.deflation_mode)
-            if vals:
-                extracted.extend(vals)
-                deflations += 1
-                trace.append(TraceRecord(
-                    iteration=iterations,
-                    dimension=work.shape[0],
-                    subdiag_norm=subdiagonal_norm(work),
-                    shift=0.0j,
-                    deflated=True,
-                ))
-                continue
-        if deflate and work.shape[0] == 1:
-            trace.append(TraceRecord(
-                iteration=iterations,
-                dimension=1,
-                subdiag_norm=0.0,
-                shift=0.0j,
-                deflated=False,
-            ))
-            converged = True
-            break
-        mu = _shift_value(work, cfg.shift)
-        trace_before = complex(np.trace(work))
-        work = _checked_step(work, mu, iterations)
-        qr_steps += 1
-        max_drift = max(max_drift, abs(complex(np.trace(work)) - trace_before))
+            extracted.extend(vals)
+            hit = bool(vals)
+        mu = 0.0j
+        if not hit and not (deflate and work.shape[0] == 1):
+            mu = _shift_value(work, cfg.shift)
+            trace_before = complex(np.trace(work))
+            work = _checked_step(work, mu, len(trace) + 1)
+            max_drift = max(max_drift, abs(complex(np.trace(work)) - trace_before))
         sub_norm = subdiagonal_norm(work)
-        trace.append(TraceRecord(
-            iteration=iterations,
-            dimension=work.shape[0],
-            subdiag_norm=sub_norm,
-            shift=mu,
-            deflated=False,
-        ))
-        converged = sub_norm < cfg.eps
+        trace.append(TraceRecord(len(trace) + 1, work.shape[0], sub_norm, mu, hit))
+        converged = not hit and sub_norm < cfg.eps
     return EigenReport(
         eigenvalues=extracted + [complex(z) for z in np.diag(work)],
-        iterations=iterations,
-        deflations=deflations,
+        iterations=len(trace),
+        deflations=len(extracted),
         converged=converged,
         trace=trace,
-        qr_steps=qr_steps,
+        qr_steps=sum(not r.deflated and r.dimension > 1 for r in trace),
         max_trace_drift=max_drift,
     )
 

@@ -9,7 +9,6 @@ degree, so the dimension is capped at ORACLE_MAX_DIM; above that, verify
 with aggregate invariants (trace / second moment) instead.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,10 +118,10 @@ def eigenvalues_oracle(a) -> list[complex]:
 def match_eigenvalues(computed, reference) -> float:
     """Distance between two eigenvalue multisets under the best pairing.
 
-    For up to 8 values this is the exact minimum over all assignments of
-    the maximum pairwise distance (brute force over permutations, pruned).
-    Beyond 8 a greedy nearest-neighbor pairing with removal is used, which
-    upper-bounds the optimum.
+    This is the exact minimum over all one-to-one pairings of the largest
+    pairwise distance (a bottleneck assignment), for every n: a binary
+    search over the distinct distances for the smallest one under which a
+    perfect pairing exists.
     """
     left = [complex(z) for z in computed]
     right = [complex(z) for z in reference]
@@ -130,27 +129,51 @@ def match_eigenvalues(computed, reference) -> float:
         raise ValueError(
             f"cardinality mismatch: {len(left)} vs {len(right)} eigenvalues"
         )
-    n = len(left)
-    if n == 0:
+    if not left:
         return 0.0
     dist = np.abs(np.subtract.outer(np.array(left), np.array(right)))
-    if n <= 8:
-        best = float("inf")
-        for perm in itertools.permutations(range(n)):
-            worst = 0.0
-            for i, j in enumerate(perm):
-                d = dist[i, j]
-                if d > worst:
-                    worst = d
-                    if worst >= best:
+    levels = np.unique(dist)
+    lo, hi = 0, len(levels) - 1  # the largest distance always admits a pairing
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _has_perfect_matching(dist <= levels[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(levels[lo])
+
+
+def _has_perfect_matching(allowed: np.ndarray) -> bool:
+    """Whether every row of the boolean n x n ``allowed`` can be paired with
+    its own allowed column: augmenting paths, each found breadth-first from
+    one unpaired row (no recursion, so any n is safe)."""
+    n = allowed.shape[0]
+    row_of = [-1] * n  # the row paired with each column
+    col_of = [-1] * n  # the column paired with each row
+    for root in range(n):
+        reached_from = [-1] * n  # the row from which each column was reached
+        frontier = [root]
+        free = -1
+        while frontier and free < 0:
+            next_frontier = []
+            for i in frontier:
+                for j in np.flatnonzero(allowed[i]):
+                    if reached_from[j] >= 0:
+                        continue
+                    reached_from[j] = i
+                    if row_of[j] < 0:
+                        free = j
                         break
-            if worst < best:
-                best = worst
-        return float(best)
-    order = sorted(range(n), key=lambda i: (left[i].real, left[i].imag))
-    remaining = list(range(n))
-    worst = 0.0
-    for i in order:
-        k = min(range(len(remaining)), key=lambda t: dist[i, remaining[t]])
-        worst = max(worst, float(dist[i, remaining.pop(k)]))
-    return worst
+                    next_frontier.append(row_of[j])
+                if free >= 0:
+                    break
+            frontier = next_frontier
+        if free < 0:
+            return False
+        j = free
+        while j >= 0:  # flip the path's pairs back to the root
+            i = reached_from[j]
+            next_j = col_of[i]
+            row_of[j], col_of[i] = i, j
+            j = next_j
+    return True

@@ -102,7 +102,6 @@ def householder_qr(a) -> QRFactors:
         v /= np.linalg.norm(v)
         r[k:, k:] -= 2.0 * np.outer(v, v.conj() @ r[k:, k:])
         q[:, k:] -= 2.0 * np.outer(q[:, k:] @ v, v.conj())
-        r[k + 1:, k] = 0.0
     _normalize_phases(q, r)
     return QRFactors(q=q, r=np.triu(r))
 

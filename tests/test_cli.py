@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import eigenkit
 from eigenkit.cli import (
     ENV_BENCH_SEED,
     EXIT_INPUT,
@@ -94,6 +99,30 @@ def test_non_finite_entry_is_input_error(tmp_path, capsys, command, name, conten
     path.write_text(content)
     assert main([command, str(path)]) == EXIT_INPUT
     assert "non-finite" in capsys.readouterr().err
+
+
+W_HANG = "0.9034701816518086+0.09401229776087457i"
+
+
+@pytest.mark.parametrize(
+    "content",
+    [f"{W_HANG}\n", f"{W_HANG},1,2\n0,2,1\n0,0,3\n"],
+    ids=["1x1", "triangular-3x3"],
+)
+def test_eig_complex_diagonal_entry_terminates(tmp_path, content):
+    # Balancing once looped forever on these: a last-bit difference made an
+    # empty off-diagonal mass slightly negative. A subprocess with a timeout
+    # turns a hang into a failure.
+    path = tmp_path / "w.csv"
+    path.write_text(content)
+    src = os.path.dirname(os.path.dirname(eigenkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "eigenkit.cli", "eig", str(path), "--strict"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert "converged: yes" in done.stdout
 
 
 def test_eig_strict_nonconvergence(rotation_file):

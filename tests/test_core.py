@@ -9,7 +9,6 @@ from eigenkit.core import (
     require_square,
     row_left_norm,
     subdiagonal_norm,
-    trailing_2x2,
 )
 from eigenkit.oracle import eigenvalues_oracle, match_eigenvalues
 
@@ -83,22 +82,22 @@ def test_remove_row_col_keeps_triangularity():
         assert subdiagonal_norm(remove_row_col(r, j)) == 0.0
 
 
-def test_trailing_2x2():
-    assert np.array_equal(trailing_2x2(np.eye(3)), np.eye(2))
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(trailing_2x2(a), a)
-    b = [[9.0, 0, 0], [0, 2.0, 5.0], [0, 7.0, 3.0]]
-    assert np.array_equal(trailing_2x2(b), [[2.0, 5.0], [7.0, 3.0]])
-    with pytest.raises(ValueError):
-        trailing_2x2([[1.0]])
-
-
 class TestBalance:
     def test_diagonal_unchanged(self):
         d = np.diag([1.0, -3.0, 2.5])
         rec = balance(d)
         assert np.array_equal(rec.matrix, d)
         assert np.array_equal(rec.scale_factors, np.ones(3))
+
+    def test_triangular_complex_needs_no_scaling(self):
+        # Column 0 and row 2 have no off-diagonal entries. Their off-diagonal
+        # mass must come out as exactly 0; a last-bit difference between the
+        # summed and the subtracted |w| once gave factors of 5e30 and 6e14.
+        w = -0.5442589828573099 - 0.31630015636915454j
+        a = np.array([[w, 1, 2], [0, 2, 1], [0, 0, 3]])
+        rec = balance(a)
+        assert np.array_equal(rec.scale_factors, np.ones(3))
+        assert np.array_equal(rec.matrix, a)
 
     def test_zero_matrix(self):
         rec = balance(np.zeros((3, 3)))

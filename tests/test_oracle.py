@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -138,3 +140,25 @@ class TestMatchEigenvalues:
         left = [0.0 + 1j, 0.0 - 1j]
         right = [0.0 - 1j, 0.0 + 1j]
         assert match_eigenvalues(left, right) == 0.0
+
+    def test_exact_above_eight_values(self):
+        # Pairing 0 with 0.6 and 1 with -1 costs 2; the optimum pairs 0 with
+        # -1 and 1 with 0.6, so the bottleneck is 1.
+        far = [10 + 10j * k for k in range(7)]
+        assert match_eigenvalues([0, 1] + far, [0.6, -1] + far) == 1.0
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_brute_force(self, n):
+        rng = np.random.default_rng(n)
+        for trial in range(20):
+            left = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            if trial % 2:
+                right = left[rng.permutation(n)] + 0.3 * rng.standard_normal(n)
+            else:
+                right = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            dist = np.abs(np.subtract.outer(left, right))
+            best = min(
+                max(dist[i, j] for i, j in enumerate(perm))
+                for perm in itertools.permutations(range(n))
+            )
+            assert match_eigenvalues(left, right) == best

@@ -1,10 +1,11 @@
 """Property tests: the enhanced solver's spectrum is invariant under
-permutation and unitary similarity, and scales with the input.
+permutation and unitary similarity, and scales with the input; both drivers'
+report counters agree with their trace.
 
 Matrices are drawn from ``numpy.random.default_rng(seed)``; Hypothesis picks
-the seed, the dimension (2..8) and whether the matrix is complex. Each check
-requires both solves to converge and the two spectra to agree within
-1e-9 * ||A||_F under the best pairing.
+the seed, the dimension (2..8; 1..8 for the counters) and whether the matrix
+is complex. Each invariance check requires both solves to converge and the
+two spectra to agree within 1e-9 * ||A||_F under the best pairing.
 """
 
 import numpy as np
@@ -12,7 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigenkit import enhanced_shifted_qr, frobenius_norm, match_eigenvalues
+from eigenkit import (
+    SolverConfig,
+    baseline_qr,
+    enhanced_shifted_qr,
+    frobenius_norm,
+    match_eigenvalues,
+)
 
 TOL = 1e-9
 
@@ -60,6 +67,24 @@ def test_power_of_two_scaling(seed, n, complex_, k):
     a = _matrix(np.random.default_rng(seed), n, complex_)
     scaled_back = _spectrum(2.0**k * a) / 2.0**k
     assert match_eigenvalues(scaled_back, _spectrum(a)) <= TOL * frobenius_norm(a)
+
+
+@_settings
+@given(
+    seed=_seeds,
+    n=st.integers(min_value=1, max_value=8),
+    complex_=st.booleans(),
+    driver=st.sampled_from([enhanced_shifted_qr, baseline_qr]),
+    k_max=st.sampled_from([2, 1000]),
+)
+def test_report_counters_follow_the_trace(seed, n, complex_, driver, k_max):
+    a = _matrix(np.random.default_rng(seed), n, complex_)
+    report = driver(a, SolverConfig(k_max=k_max))
+    trace = report.trace
+    assert report.iterations == len(trace)
+    assert report.deflations == sum(r.deflated for r in trace)
+    assert report.qr_steps == sum(not r.deflated and r.dimension > 1 for r in trace)
+    assert len(report.eigenvalues) == n
 
 
 @pytest.mark.xfail(
