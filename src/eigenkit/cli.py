@@ -23,7 +23,6 @@ import numpy as np
 from .bench import SOLVER_NAMES, SOLVER_SETUPS, emit_trace_csv, run_comparison
 from .core import frobenius_norm, subdiagonal_norm
 from .engine import (
-    DeflationMode,
     NumericalBreakdownError,
     SolverConfig,
     baseline_qr,
@@ -100,7 +99,6 @@ def _eig_config(args) -> SolverConfig:
             eps=args.eps,
             deflation_tol=args.dtol,
             shift=ShiftStrategy(args.shift),
-            deflation_mode=DeflationMode(args.mode),
             do_balance=False if args.no_balance else None,
         )
     except ValueError as exc:
@@ -240,9 +238,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--eps", type=float, default=defaults.eps, help="convergence tolerance")
     p.add_argument("--dtol", type=float, default=defaults.deflation_tol, help="deflation tolerance")
     p.add_argument("--kmax", type=int, default=defaults.k_max, help="iteration cap")
-    p.add_argument(
-        "--mode", choices=[m.value for m in DeflationMode], default=defaults.deflation_mode.value
-    )
     p.add_argument("--trace", metavar="OUT.CSV", help="write per-iteration trace CSV")
     p.add_argument("--strict", action="store_true", help="exit 4 if the solve did not converge")
     p.set_defaults(func=_cmd_eig)

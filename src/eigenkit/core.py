@@ -114,7 +114,9 @@ def balance(a) -> BalanceRecord:
             row = np.abs(m[i, :])
             c = float(col.sum() - col[i])
             r = float(row.sum() - row[i])
-            if c == 0.0 or r == 0.0:
+            # Skip an index with no off-diagonal mass, or with a mass that
+            # overflowed to inf: the loops below never end on an inf.
+            if not (0.0 < c < np.inf and 0.0 < r < np.inf):
                 continue
             s = c + r
             f = 1.0

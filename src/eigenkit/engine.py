@@ -64,7 +64,9 @@ class DeflationMode(enum.Enum):
     upward and deflates at the first hit, interior rows included. That is
     unsound on a dense iterate: a small strictly-left row part does not
     decouple the row, so the extracted diagonal entry need not be an
-    eigenvalue, yet the solve still reports convergence.
+    eigenvalue, yet the solve still reports convergence. The CLI offers
+    no way to pick PAPER; the enum stays in the library only because
+    perfbench's self-tests pin PAPER's wrong answer.
     """
 
     PAPER = "paper"

@@ -80,6 +80,13 @@ def test_eig_malformed_file_is_input_error(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_eig_unknown_extension_is_input_error(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text("[[1]]\n")
+    assert main(["eig", str(path)]) == EXIT_INPUT
+    assert "extension" in capsys.readouterr().err
+
+
 def test_eig_nonsquare_is_input_error(tmp_path):
     path = tmp_path / "rect.csv"
     path.write_text("1,2,3\n4,5,6\n")
@@ -105,14 +112,20 @@ W_HANG = "0.9034701816518086+0.09401229776087457i"
 
 
 @pytest.mark.parametrize(
-    "content",
-    [f"{W_HANG}\n", f"{W_HANG},1,2\n0,2,1\n0,0,3\n"],
-    ids=["1x1", "triangular-3x3"],
+    "content,code,expect",
+    [
+        (f"{W_HANG}\n", EXIT_OK, "converged: yes"),
+        (f"{W_HANG},1,2\n0,2,1\n0,0,3\n", EXIT_OK, "converged: yes"),
+        ("1e308,1e308\n1e308,1e308\n", EXIT_NUMERIC, "non-finite shift"),
+        ("1,1e308,0\n1e308,1,0\n1e308,0,1\n", EXIT_NUMERIC, "non-finite iterate"),
+    ],
+    ids=["1x1", "triangular-3x3", "overflow-2x2", "overflow-3x3"],
 )
-def test_eig_complex_diagonal_entry_terminates(tmp_path, content):
+def test_eig_complex_diagonal_entry_terminates(tmp_path, content, code, expect):
     # Balancing once looped forever on these: a last-bit difference made an
-    # empty off-diagonal mass slightly negative. A subprocess with a timeout
-    # turns a hang into a failure.
+    # empty off-diagonal mass slightly negative, or an off-diagonal mass
+    # overflowed to inf. A subprocess with a timeout turns a hang into a
+    # failure.
     path = tmp_path / "w.csv"
     path.write_text(content)
     src = os.path.dirname(os.path.dirname(eigenkit.__file__))
@@ -121,8 +134,8 @@ def test_eig_complex_diagonal_entry_terminates(tmp_path, content):
         [sys.executable, "-m", "eigenkit.cli", "eig", str(path), "--strict"],
         env=env, capture_output=True, text=True, timeout=60,
     )
-    assert done.returncode == EXIT_OK, done.stderr
-    assert "converged: yes" in done.stdout
+    assert done.returncode == code, done.stderr
+    assert expect in done.stdout + done.stderr
 
 
 def test_eig_strict_nonconvergence(rotation_file):
@@ -139,7 +152,7 @@ def test_eig_flag_plumbing(symmetric_file, capsys):
                 "--shift", "rayleigh",
                 "--no-deflate", "--no-balance",
                 "--eps", "1e-8", "--dtol", "1e-9",
-                "--kmax", "17", "--mode", "trailing",
+                "--kmax", "17",
             ]
         )
         == EXIT_OK
@@ -161,6 +174,11 @@ def test_eig_trace_output(symmetric_file, tmp_path):
     assert lines[0].startswith("matrix_index,solver,iteration")
     assert len(lines) >= 2
     assert ",enhanced," in lines[1]
+
+
+def test_eig_unwritable_trace_is_input_error(symmetric_file, tmp_path):
+    trace = tmp_path / "no-such-dir" / "trace.csv"
+    assert main(["eig", symmetric_file, "--trace", str(trace)]) == EXIT_INPUT
 
 
 def test_oracle_command(symmetric_file, capsys):
@@ -190,6 +208,12 @@ def test_bench_writes_outputs(tmp_path, capsys):
     assert out.exists() and svg.exists()
     stdout = capsys.readouterr().out
     assert "enhanced" in stdout and "plain" in stdout
+
+
+def test_bench_unwritable_out_is_input_error(tmp_path):
+    out = tmp_path / "no-such-dir" / "r.csv"
+    args = ["bench", "--dim", "2", "--count", "1", "--solvers", "enhanced", "--out", str(out)]
+    assert main(args) == EXIT_INPUT
 
 
 def test_bench_requires_solvers(tmp_path):

@@ -184,11 +184,21 @@ class TestEnhancedShiftedQr:
         r2 = enhanced_shifted_qr(a)
         assert r1 == r2
 
-    def test_breakdown_names_iteration(self):
+    @pytest.mark.parametrize(
+        "a,message",
+        [
+            ([[1e200, 1e200], [1e200, -1e200]], "non-finite shift at iteration 1"),
+            ([[1e308, 1e308], [1e308, 1e308]], "non-finite shift at iteration 1"),
+            (
+                [[1, 1e308, 0], [1e308, 1, 0], [1e308, 0, 1]],
+                "non-finite iterate at iteration 1",
+            ),
+        ],
+    )
+    def test_breakdown_names_iteration(self, a, message):
         # Overflow the iterate quickly: enormous entries square up each step.
-        a = np.array([[1e200, 1e200], [1e200, -1e200]])
-        with pytest.raises(NumericalBreakdownError, match="iteration"):
-            enhanced_shifted_qr(a, SolverConfig(do_balance=False))
+        with pytest.raises(NumericalBreakdownError, match=message):
+            enhanced_shifted_qr(np.array(a), SolverConfig(do_balance=False))
 
     def test_balance_flag_off_matches_manual(self):
         rng = np.random.default_rng(61)

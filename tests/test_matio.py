@@ -65,6 +65,12 @@ def test_matrix_market_skips_comments(tmp_path):
         ("%%MatrixMarket matrix array complex general\n1 1\nnope\n", 3),
         ("%%MatrixMarket matrix array complex general\n2 2\n1 0\n", 3),
         ("%%MatrixMarket matrix array complex general\n1 1\n1 0\n2 0\n", 4),
+        ("", 1),
+        ("%%MatrixMarket matrix array pattern general\n1 1\n1\n", 1),
+        ("%%MatrixMarket matrix array complex general\n1 x\n1 0\n", 2),
+        ("%%MatrixMarket matrix array complex general\n0 1\n", 2),
+        ("%%MatrixMarket matrix array real general\n1 1\n1 2\n", 3),
+        ("%%MatrixMarket matrix array complex general\n% only a comment\n", 2),
     ],
 )
 def test_matrix_market_errors_carry_line_numbers(tmp_path, content, line):

@@ -129,7 +129,10 @@ class TestMatchEigenvalues:
         with pytest.raises(ValueError):
             match_eigenvalues([1.0], [1.0, 2.0])
 
-    def test_greedy_path_for_large_sets(self):
+    def test_empty_sets(self):
+        assert match_eigenvalues([], []) == 0.0
+
+    def test_twelve_values_reversed(self):
         vals = [complex(k, -k) for k in range(12)]
         shuffled = list(reversed(vals))
         assert match_eigenvalues(vals, shuffled) <= 1e-12

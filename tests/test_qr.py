@@ -64,6 +64,49 @@ def test_random_complex_factorization(method, seed, n):
     check_factors(a, factorize(a, method), ortho_tol=tol)
 
 
+@pytest.mark.parametrize(
+    "kernel,a",
+    [
+        (householder_qr, [[-3e-320 + 2e-320j, 1], [1e-320, 2]]),
+        (givens_qr, [[-1.5e301 + 1e301j, 1], [1, 2]]),
+        (givens_qr, [[3e-320, 1], [2e-320, 1]]),
+    ],
+    ids=["denormal-phase", "huge-phase", "denormal-pair"],
+)
+def test_extreme_exponents(kernel, a):
+    # Each input reaches one power-of-two rescale: a denormal or a huge
+    # pivot phase in _unit_phase, or givens_qr's denormal-pair upscale. The
+    # Frobenius norm would overflow at 1e301, so residuals are max-abs.
+    a = np.array(a, dtype=np.complex128)
+    f = kernel(a)
+    assert np.abs(f.q @ f.r - a).max() <= 1e-15 * np.abs(a).max()
+    assert np.abs(f.q.conj().T @ f.q - np.eye(2)).max() <= 1e-15
+    d = np.diag(f.r)
+    assert np.all(d.imag == 0.0)
+    assert np.all(d.real >= 0.0)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        pytest.param(
+            householder_qr,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="householder_qr squares entries unscaled, so a 2e-320 "
+                "subdiagonal reads as zero and gets no reflector",
+            ),
+        ),
+        givens_qr,
+    ],
+)
+def test_denormal_column_keeps_its_norm(kernel):
+    # Q is unitary, so |R[0, 0]| is the norm of A's first column; denormals
+    # carry only a few digits, hence the loose tolerance.
+    f = kernel([[3e-320, 1], [2e-320, 1]])
+    assert abs(f.r[0, 0]) == pytest.approx(np.hypot(3e-320, 2e-320), rel=1e-3, abs=0.0)
+
+
 def test_real_input_stays_valid():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((6, 6))
