@@ -66,8 +66,6 @@ def _load_matrix(path) -> np.ndarray:
         m = read_matrix(path)
     except MatrixFormatError as exc:
         raise _CliError(EXIT_INPUT, str(exc)) from exc
-    except (OSError, ValueError) as exc:
-        raise _CliError(EXIT_INPUT, f"{path}: {exc}") from exc
     if m.shape[0] != m.shape[1]:
         raise _CliError(EXIT_INPUT, f"{path}: expected a square matrix, got {m.shape}")
     return m
@@ -82,6 +80,8 @@ def _print_values(label: str, values) -> None:
 def _cmd_factor(args) -> int:
     m = _load_matrix(args.file)
     factors = factorize(m, QRMethod(args.method))
+    if not (np.isfinite(factors.q).all() and np.isfinite(factors.r).all()):
+        raise _CliError(EXIT_NUMERIC, f"{args.method} QR gave a non-finite factor")
     n = m.shape[0]
     resid_a = frobenius_norm(factors.q @ factors.r - m)
     resid_q = frobenius_norm(factors.q.conj().T @ factors.q - np.eye(n))

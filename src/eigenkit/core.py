@@ -38,8 +38,11 @@ def require_square(a: np.ndarray) -> np.ndarray:
 
 
 def frobenius_norm(a) -> float:
-    """sqrt of the sum of squared moduli of all entries."""
-    return float(np.linalg.norm(as_matrix(a)))
+    """sqrt of the sum of squared moduli of all entries, taken after scaling
+    by a power of two near the largest part, so no square over- or underflows."""
+    parts = np.abs(as_matrix(a).ravel().view(np.float64))
+    exponent = np.frexp(parts.max())[1]
+    return float(np.ldexp(np.linalg.norm(np.ldexp(parts, -exponent)), exponent))
 
 
 def subdiagonal_norm(a) -> float:

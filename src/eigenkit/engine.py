@@ -77,8 +77,9 @@ class DeflationMode(enum.Enum):
 class SolverConfig:
     """Knobs shared by both drivers: the iteration cap ``k_max``, the
     convergence and deflation tolerances ``eps`` and ``deflation_tol``
-    (absolute), the ``shift`` strategy, the ``deflation_mode`` and
-    ``do_balance``. The QR kernel is not a knob: steps always use Householder.
+    (absolute, positive and finite), the ``shift`` strategy, the
+    ``deflation_mode`` and ``do_balance``. The QR kernel is not a knob: steps
+    always use Householder.
 
     ``do_balance`` is tri-state: None means "driver default" (on for the
     enhanced driver, off for baselines); an explicit bool wins either way.
@@ -94,8 +95,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.k_max < 1:
             raise ValueError("k_max must be >= 1")
-        if not self.eps > 0.0:
-            raise ValueError("eps must be positive")
+        if not 0.0 < self.eps < np.inf:
+            raise ValueError("eps must be positive and finite")
         if not self.deflation_tol > 0.0:
             raise ValueError("deflation_tol must be positive")
         if self.deflation_tol > self.eps:

@@ -44,7 +44,7 @@ class QRFactors:
 
 
 class RankDeficiencyError(ArithmeticError):
-    """Gram-Schmidt hit a pivot column too small to normalize."""
+    """Gram-Schmidt hit a pivot column too small, or too large, to normalize."""
 
 
 _TINY = float(np.finfo(np.float64).tiny)
@@ -146,9 +146,11 @@ def gram_schmidt_qr(a, variant: str = "modified") -> QRFactors:
 
     ``variant`` is ``"classical"`` (projections against the original column)
     or ``"modified"`` (projections against the running residual, which loses
-    far less orthogonality). Raises :class:`RankDeficiencyError` when a pivot
-    column norm falls below 1e-14 * ||A||_F, since the column then carries no
-    usable direction.
+    far less orthogonality). Column norms are scaled like
+    :func:`~eigenkit.core.frobenius_norm`, so no square over- or underflows.
+    Raises :class:`RankDeficiencyError` when a pivot column norm is not above
+    1e-14 * ||A||_F, since the column then carries no usable direction, or is
+    not finite.
     """
     if variant not in ("classical", "modified"):
         raise ValueError(f"unknown Gram-Schmidt variant: {variant!r}")
@@ -166,8 +168,8 @@ def gram_schmidt_qr(a, variant: str = "modified") -> QRFactors:
             for i in range(j):
                 r[i, j] = np.vdot(q[:, i], v)
                 v -= r[i, j] * q[:, i]
-        norm_v = np.linalg.norm(v)
-        if norm_v <= tol:
+        norm_v = frobenius_norm(v[:, None])
+        if not tol < norm_v < np.inf:
             raise RankDeficiencyError(
                 f"pivot column {j} has norm {norm_v:.3e} (threshold {tol:.3e})"
             )

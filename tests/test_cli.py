@@ -60,6 +60,17 @@ def test_factor_rank_deficient_cgs_is_numeric_error(tmp_path, capsys):
     assert "pivot" in capsys.readouterr().err
 
 
+def test_factor_near_overflow(tmp_path, capsys):
+    # Householder's unscaled column norms overflow on this matrix; Givens' do not.
+    path = tmp_path / "big.csv"
+    path.write_text("-1.5e301+1e301i,1\n1,2\n")
+    assert main(["factor", str(path), "--method", "householder"]) == EXIT_NUMERIC
+    assert "householder" in capsys.readouterr().err
+    assert main(["factor", str(path), "--method", "givens"]) == EXIT_OK
+    resid = float(capsys.readouterr().out.split("||QR - A||_F  =")[1].split()[0])
+    assert resid <= 1e-15 * 1.8e301
+
+
 def test_eig_summary(symmetric_file, capsys):
     assert main(["eig", symmetric_file]) == EXIT_OK
     out = capsys.readouterr().out
@@ -162,6 +173,7 @@ def test_eig_flag_plumbing(symmetric_file, capsys):
 
 def test_eig_bad_tolerances_are_usage_errors(symmetric_file):
     assert main(["eig", symmetric_file, "--eps", "-1"]) == EXIT_USAGE
+    assert main(["eig", symmetric_file, "--eps", "inf"]) == EXIT_USAGE
     assert main(["eig", symmetric_file, "--kmax", "0"]) == EXIT_USAGE
     # dtol must not exceed eps
     assert main(["eig", symmetric_file, "--eps", "1e-12", "--dtol", "1e-8"]) == EXIT_USAGE

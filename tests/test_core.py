@@ -39,6 +39,9 @@ def test_frobenius_norm():
     assert frobenius_norm(np.zeros((2, 2))) == 0.0
     assert frobenius_norm(np.eye(3)) == pytest.approx(np.sqrt(3))
     assert frobenius_norm([[3.0, 4.0], [0.0, 0.0]]) == pytest.approx(5.0)
+    # Unscaled, these squares overflow to inf and underflow to 0.
+    assert frobenius_norm([[1e300, 1e300], [1e300, 1e300j]]) == pytest.approx(2e300, abs=0)
+    assert frobenius_norm([[1e-300, 1e-300], [1e-300j, 1e-300]]) == pytest.approx(2e-300, abs=0)
 
 
 def test_subdiagonal_norm():

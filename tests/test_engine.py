@@ -35,6 +35,8 @@ class TestSolverConfig:
             {"eps": -1e-3},
             {"deflation_tol": 0.0},
             {"deflation_tol": 1e-8, "eps": 1e-10},
+            {"eps": np.inf},
+            {"eps": np.inf, "deflation_tol": np.inf},
         ],
     )
     def test_validation(self, kwargs):

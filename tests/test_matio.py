@@ -71,6 +71,7 @@ def test_matrix_market_skips_comments(tmp_path):
         ("%%MatrixMarket matrix array complex general\n0 1\n", 2),
         ("%%MatrixMarket matrix array real general\n1 1\n1 2\n", 3),
         ("%%MatrixMarket matrix array complex general\n% only a comment\n", 2),
+        ("%%MatrixMarket matrix array real general\n1 1\n−1\n", 3),
     ],
 )
 def test_matrix_market_errors_carry_line_numbers(tmp_path, content, line):
@@ -132,9 +133,28 @@ def test_unknown_extension_rejected(tmp_path):
         read_matrix(tmp_path / "a.json")
 
 
+@pytest.mark.parametrize(
+    "name,make",
+    [
+        ("a.json", lambda path: path.write_text("[[1]]\n")),
+        ("x.mtx", lambda path: path.mkdir()),
+        ("bytes.csv", lambda path: path.write_bytes(b"\xff\xfe")),
+    ],
+    ids=["unsupported-suffix", "directory", "not-utf8"],
+)
+def test_unreadable_file_has_no_line(tmp_path, name, make):
+    path = tmp_path / name
+    make(path)
+    with pytest.raises(MatrixFormatError) as err:
+        read_matrix(path)
+    assert err.value.line_no is None
+    assert str(err.value).startswith(f"{path}: ")
+
+
 def test_missing_file():
-    with pytest.raises((MatrixFormatError, OSError)):
+    with pytest.raises(MatrixFormatError) as err:
         read_matrix("/nonexistent/nowhere.mtx")
+    assert err.value.line_no is None
 
 
 @pytest.mark.parametrize(
@@ -160,6 +180,8 @@ def test_csv_non_finite_entry_names_its_line(tmp_path, content, line):
         ("%%MatrixMarket matrix array real general\n2 1\n1\ninf\n", 4),
         ("%%MatrixMarket matrix array real general\n% c\n1 2\n\n5\n% c\n-inf\n", 7),
         ("%%MatrixMarket matrix array complex general\n1 1\n1 nan\n", 3),
+        # Column-major: the first bad value in the file is entry (1, 0), not (0, 1).
+        ("%%MatrixMarket matrix array real general\n2 2\n1\nnan\ninf\n1\n", 4),
     ],
 )
 def test_matrix_market_non_finite_entry_names_its_line(tmp_path, content, line):

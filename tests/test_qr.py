@@ -70,13 +70,16 @@ def test_random_complex_factorization(method, seed, n):
         (householder_qr, [[-3e-320 + 2e-320j, 1], [1e-320, 2]]),
         (givens_qr, [[-1.5e301 + 1e301j, 1], [1, 2]]),
         (givens_qr, [[3e-320, 1], [2e-320, 1]]),
+        (lambda a: gram_schmidt_qr(a, "classical"), [[1.5e301, 1e301], [1e301, -1.5e301]]),
+        (lambda a: gram_schmidt_qr(a, "modified"), [[1.5e301, 1e301], [1e301, -1.5e301]]),
     ],
-    ids=["denormal-phase", "huge-phase", "denormal-pair"],
+    ids=["denormal-phase", "huge-phase", "denormal-pair", "huge-column-cgs", "huge-column-mgs"],
 )
 def test_extreme_exponents(kernel, a):
     # Each input reaches one power-of-two rescale: a denormal or a huge
-    # pivot phase in _unit_phase, or givens_qr's denormal-pair upscale. The
-    # Frobenius norm would overflow at 1e301, so residuals are max-abs.
+    # pivot phase in _unit_phase, givens_qr's denormal-pair upscale, or the
+    # scaled Gram-Schmidt column norm (unscaled, it overflows to inf and
+    # gives Q = 0). Residuals are max-abs.
     a = np.array(a, dtype=np.complex128)
     f = kernel(a)
     assert np.abs(f.q @ f.r - a).max() <= 1e-15 * np.abs(a).max()
