@@ -16,8 +16,10 @@ in whether the loop deflates:
     balancing unless asked, stopping on the same norm test. The test also
     runs before the first step, so triangular input takes zero passes.
 
-Every QR step factors with ``householder_qr``; the other kernels of
-``eigenkit.qr`` serve ``eigenkit factor`` and tests, not the drivers.
+Both drivers reduce the (balanced) input once with ``hessenberg`` and step
+with ``givens_qr``: n-1 rotations on the Hessenberg iterate, which the step
+and trailing deflation keep exactly Hessenberg. ``DeflationMode.PAPER``
+skips the reduction and steps on the dense iterate.
 Either way the eigenvalues are the extracted values followed by the
 diagonal of the final iterate. Reports are deterministic: identical input
 and config produce bit-identical eigenvalues, counters, and traces.
@@ -35,7 +37,7 @@ from .core import (
     row_left_norm,
     subdiagonal_norm,
 )
-from .qr import householder_qr
+from .qr import givens_qr, hessenberg
 from .shifts import ShiftStrategy, rayleigh_shift, wilkinson_shift
 
 __all__ = [
@@ -79,7 +81,8 @@ class SolverConfig:
     convergence and deflation tolerances ``eps`` and ``deflation_tol``
     (absolute, positive and finite), the ``shift`` strategy, the
     ``deflation_mode`` and ``do_balance``. The QR kernel is not a knob: steps
-    always use Householder.
+    always use Givens rotations on the Hessenberg iterate (on the dense
+    iterate under ``DeflationMode.PAPER``, which skips the reduction).
 
     ``do_balance`` is tri-state: None means "driver default" (on for the
     enhanced driver, off for baselines); an explicit bool wins either way.
@@ -144,16 +147,17 @@ class EigenReport:
 
 
 def qr_step(a, shift: complex = 0.0) -> np.ndarray:
-    """One shifted QR step: factor (A - mu*I) = QR by Householder, return RQ + mu*I.
+    """One shifted QR step: factor (A - mu*I) = QR by Givens rotations, return RQ + mu*I.
 
     The result equals Q^H A Q, a unitary similarity, so the spectrum and the
-    trace are preserved.
+    trace are preserved. An upper-Hessenberg ``a`` takes n-1 rotations and
+    gives an upper-Hessenberg result, with exact zeros below the subdiagonal.
     """
     m = require_square(a)
     n = m.shape[0]
     mu = complex(shift)
     eye = np.eye(n, dtype=np.complex128)
-    factors = householder_qr(m - mu * eye)
+    factors = givens_qr(m - mu * eye)
     return factors.r @ factors.q + mu * eye
 
 
@@ -204,6 +208,11 @@ def _iterate(a, cfg: SolverConfig | None, deflate: bool) -> EigenReport:
     do_balance = deflate if cfg.do_balance is None else cfg.do_balance
     if do_balance:
         work = balance(work).matrix
+    if cfg.deflation_mode is not DeflationMode.PAPER:
+        # PAPER's interior deflation needs the dense iterate (see DeflationMode).
+        work = hessenberg(work)
+        if not np.isfinite(work).all():
+            raise NumericalBreakdownError("non-finite iterate at iteration 1")
     extracted: list[complex] = []
     trace: list[TraceRecord] = []
     max_drift = 0.0

@@ -1,4 +1,4 @@
-"""QR factorization kernels: Householder, Givens, and Gram-Schmidt.
+"""QR factorization kernels: Householder, Givens, Gram-Schmidt; Hessenberg reduction.
 
 All kernels share one normalization: after factorizing, a diagonal phase
 matrix is folded into Q and R so that every diagonal entry of R is real and
@@ -9,6 +9,7 @@ below the diagonal.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "givens_qr",
     "gram_schmidt_qr",
     "factorize",
+    "hessenberg",
 ]
 
 
@@ -70,36 +72,47 @@ def _unit_phase(z) -> complex:
 
 def _normalize_phases(q: np.ndarray, r: np.ndarray) -> None:
     # Fold diag(R) phases into Q so diag(R) is real nonnegative; QR invariant
-    # because the phase matrix is unitary.
-    for j in range(r.shape[0]):
-        d = r[j, j]
-        if d != 0.0 and (d.imag != 0.0 or d.real < 0.0):
-            phase = _unit_phase(d)
-            r[j, j:] *= phase.conjugate()
-            q[:, j] *= phase
-            r[j, j] = abs(d)
+    # because the phase matrix is unitary. Only entries off the nonnegative
+    # real axis need one.
+    d = np.diagonal(r)
+    for j in np.flatnonzero((d.imag != 0.0) | (d.real < 0.0)):
+        phase = _unit_phase(r[j, j])
+        r[j, j] = abs(r[j, j])
+        r[j, j + 1:] *= phase.conjugate()
+        q[:, j] *= phase
+
+
+def _reflector(x: np.ndarray) -> np.ndarray | None:
+    """Unit v with (I - 2vv^H) x a multiple of e_1, or None when x[1:] is zero.
+
+    The sign choice away from x[0] avoids cancellation. x is first scaled by
+    a power of two near its largest part: that is exact, v does not depend
+    on it, and no norm can then over- or underflow.
+    """
+    v = np.array(x, dtype=np.complex128)
+    if not v[1:].any():
+        return None
+    parts = v.view(np.float64)
+    parts[:] = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1])
+    v[0] += _unit_phase(v[0]) * np.linalg.norm(v)
+    v /= np.linalg.norm(v)
+    return v
 
 
 def householder_qr(a) -> QRFactors:
     """QR via complex Householder reflections (the numerically robust default).
 
-    Each reflector uses the sign choice away from the pivot to avoid
-    cancellation; a column with nothing below the diagonal (including an
-    all-zero pivot column) gets no reflector at all.
+    A column with nothing below the diagonal (including an all-zero pivot
+    column) gets no reflector at all.
     """
     m = require_square(a)
     n = m.shape[0]
     r = m.copy()
     q = np.eye(n, dtype=np.complex128)
     for k in range(n - 1):
-        x = r[k:, k]
-        if np.linalg.norm(x[1:]) == 0.0:
+        v = _reflector(r[k:, k])
+        if v is None:
             continue
-        norm_x = np.linalg.norm(x)
-        phase = _unit_phase(x[0])
-        v = x.copy()
-        v[0] += phase * norm_x
-        v /= np.linalg.norm(v)
         r[k:, k:] -= 2.0 * np.outer(v, v.conj() @ r[k:, k:])
         q[:, k:] -= 2.0 * np.outer(q[:, k:] @ v, v.conj())
     _normalize_phases(q, r)
@@ -107,36 +120,34 @@ def householder_qr(a) -> QRFactors:
 
 
 def givens_qr(a) -> QRFactors:
-    """QR via complex Givens rotations, eliminating subdiagonal entries
-    column by column."""
+    """QR via complex Givens rotations, eliminating the nonzero subdiagonal
+    entries column by column: an upper-Hessenberg input takes at most n-1
+    rotations, each on two adjacent rows, and its Q is Hessenberg too."""
     m = require_square(a)
     n = m.shape[0]
     r = m.copy()
     q = np.eye(n, dtype=np.complex128)
     for j in range(n - 1):
-        for i in range(j + 1, n):
-            b = r[i, j]
-            if b == 0.0:
-                continue
-            p = r[j, j]
-            if max(abs(p.real), abs(p.imag), abs(b.real), abs(b.imag)) < _TINY:
-                # Denormal pair: the divides below would overflow. Exact
-                # power-of-two upscale; the rotation is scale-invariant.
-                p = p * 2.0 ** 600
-                b = b * 2.0 ** 600
-            rho = np.hypot(abs(p), abs(b))
+        for i in r[j + 1:, j].nonzero()[0] + j + 1:
+            p = complex(r[j, j])
+            b = complex(r[i, j])
+            big = max(abs(p.real), abs(p.imag), abs(b.real), abs(b.imag))
+            if not _TINY <= big <= 2.0 ** 1000:
+                # Denormal or huge pair: the divides or the moduli below would
+                # overflow. Exact power-of-two rescale; G is scale-invariant.
+                s = 2.0 ** (600 if big < _TINY else -600)
+                p, b = p * s, b * s
+            rho = math.hypot(abs(p), abs(b))
             ca = p / rho
             cb = b / rho
-            # G = [[conj(ca), conj(cb)], [-cb, ca]] maps (p, b) -> (rho, 0).
-            row_j = ca.conjugate() * r[j, j:] + cb.conjugate() * r[i, j:]
-            row_i = -cb * r[j, j:] + ca * r[i, j:]
-            r[j, j:] = row_j
-            r[i, j:] = row_i
+            # G = [[conj(ca), conj(cb)], [-cb, ca]] maps (p, b) -> (rho, 0);
+            # rows j and i of R take G, columns j and i of Q take G^H (their
+            # entries below row i are still zero).
+            rows = r[j:i + 1:i - j, j:]
+            rows[:] = [[ca.conjugate(), cb.conjugate()], [-cb, ca]] @ rows
             r[i, j] = 0.0
-            col_j = q[:, j] * ca + q[:, i] * cb
-            col_i = -q[:, j] * cb.conjugate() + q[:, i] * ca.conjugate()
-            q[:, j] = col_j
-            q[:, i] = col_i
+            cols = q[:i + 1, j:i + 1:i - j]
+            cols[:] = cols @ [[ca, -cb.conjugate()], [cb, ca.conjugate()]]
     _normalize_phases(q, r)
     return QRFactors(q=q, r=np.triu(r))
 
@@ -189,3 +200,22 @@ def factorize(a, method: QRMethod = QRMethod.HOUSEHOLDER) -> QRFactors:
     if method is QRMethod.GRAM_SCHMIDT_MODIFIED:
         return gram_schmidt_qr(a, "modified")
     raise ValueError(f"unknown QR method: {method!r}")
+
+
+def hessenberg(a) -> np.ndarray:
+    """Upper-Hessenberg H = Q^H A Q (Q unitary) by Householder reflectors.
+
+    Entries below the subdiagonal are exact zeros; a column already zero
+    there gets no reflector, so Hessenberg, triangular and diagonal input
+    comes back bit for bit.
+    """
+    h = require_square(a).copy()
+    n = h.shape[0]
+    for k in range(n - 2):
+        v = _reflector(h[k + 1:, k])
+        if v is None:
+            continue
+        h[k + 1:, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1:, k:])
+        h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ v, v.conj())
+        h[k + 2:, k] = 0.0
+    return h

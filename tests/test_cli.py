@@ -61,14 +61,24 @@ def test_factor_rank_deficient_cgs_is_numeric_error(tmp_path, capsys):
 
 
 def test_factor_near_overflow(tmp_path, capsys):
-    # Householder's unscaled column norms overflow on this matrix; Givens' do not.
+    # Unscaled column norms would overflow on this matrix; both kernels scale
+    # them, so both factor it.
     path = tmp_path / "big.csv"
     path.write_text("-1.5e301+1e301i,1\n1,2\n")
-    assert main(["factor", str(path), "--method", "householder"]) == EXIT_NUMERIC
-    assert "householder" in capsys.readouterr().err
-    assert main(["factor", str(path), "--method", "givens"]) == EXIT_OK
-    resid = float(capsys.readouterr().out.split("||QR - A||_F  =")[1].split()[0])
-    assert resid <= 1e-15 * 1.8e301
+    for method in ("householder", "givens"):
+        assert main(["factor", str(path), "--method", method]) == EXIT_OK
+        resid = float(capsys.readouterr().out.split("||QR - A||_F  =")[1].split()[0])
+        assert resid <= 1e-15 * 1.8e301
+
+
+def test_factor_overflowing_rotation_is_loud(tmp_path, capsys):
+    # The column norm 2.1e308 is not representable. The Givens rotation is
+    # taken on a rescaled pair, so R overflows loudly; an unscaled hypot
+    # overflowed instead and gave Q = R = 0 with exit 0.
+    path = tmp_path / "top.csv"
+    path.write_text("1.5e308,0\n1.5e308,1\n")
+    assert main(["factor", str(path), "--method", "givens"]) == EXIT_NUMERIC
+    assert "givens" in capsys.readouterr().err
 
 
 def test_eig_summary(symmetric_file, capsys):

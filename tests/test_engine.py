@@ -14,6 +14,7 @@ from eigenkit.engine import (
     qr_step,
 )
 from eigenkit.oracle import eigenvalues_oracle, match_eigenvalues
+from eigenkit.qr import hessenberg
 from eigenkit.shifts import ShiftStrategy
 
 
@@ -66,6 +67,13 @@ class TestQrStep:
         a = np.array([[2.0, 1.0], [1.0, 2.0]])
         out = qr_step(a, 1.0)
         assert abs(out[1, 0]) < 1.0
+
+    def test_hessenberg_input_stays_hessenberg(self):
+        rng = np.random.default_rng(26)
+        out = hessenberg(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        for mu in (0.0, 0.3 - 1.1j, out[-1, -1]):
+            out = qr_step(out, mu)
+            assert np.all(np.tril(out, -2) == 0.0)
 
 
 class TestDeflationSweep:

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from eigenkit.core import frobenius_norm, subdiagonal_norm
-from eigenkit.oracle import char_poly
+from eigenkit.oracle import char_poly, match_eigenvalues
 from eigenkit.qr import (
     QRMethod,
     RankDeficiencyError,
     factorize,
     givens_qr,
     gram_schmidt_qr,
+    hessenberg,
     householder_qr,
 )
 
@@ -89,23 +90,11 @@ def test_extreme_exponents(kernel, a):
     assert np.all(d.real >= 0.0)
 
 
-@pytest.mark.parametrize(
-    "kernel",
-    [
-        pytest.param(
-            householder_qr,
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="householder_qr squares entries unscaled, so a 2e-320 "
-                "subdiagonal reads as zero and gets no reflector",
-            ),
-        ),
-        givens_qr,
-    ],
-)
+@pytest.mark.parametrize("kernel", [householder_qr, givens_qr])
 def test_denormal_column_keeps_its_norm(kernel):
     # Q is unitary, so |R[0, 0]| is the norm of A's first column; denormals
-    # carry only a few digits, hence the loose tolerance.
+    # carry only a few digits, hence the loose tolerance. Squared unscaled,
+    # the 2e-320 subdiagonal would read as zero and get no reflector.
     f = kernel([[3e-320, 1], [2e-320, 1]])
     assert abs(f.r[0, 0]) == pytest.approx(np.hypot(3e-320, 2e-320), rel=1e-3, abs=0.0)
 
@@ -196,3 +185,44 @@ def test_determinant_consistency():
 def test_factorize_rejects_unknown_method():
     with pytest.raises(ValueError):
         factorize(np.eye(2), "householder")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 20])
+def test_hessenberg_is_a_unitary_similarity(n, seed):
+    a = random_complex(n, seed + 10 * n)
+    h = hessenberg(a)
+    assert np.all(np.tril(h, -2) == 0.0)
+    norm_a = frobenius_norm(a)
+    assert abs(frobenius_norm(h) - norm_a) <= 1e-14 * norm_a
+    assert match_eigenvalues(np.linalg.eigvals(h), np.linalg.eigvals(a)) <= 1e-12 * norm_a
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.diag([3.0, -1.0 + 2.0j, 0.5]),
+        np.triu(random_complex(5, 3)),
+        np.triu(random_complex(6, 4), -1),
+    ],
+    ids=["diagonal", "triangular", "hessenberg"],
+)
+def test_hessenberg_leaves_reduced_input_alone(a):
+    h = hessenberg(a)
+    assert h is not a
+    assert h.tobytes() == np.asarray(a, dtype=np.complex128).tobytes()
+
+
+@pytest.mark.parametrize("k", [-500, 500])
+def test_hessenberg_commutes_with_power_of_two_scaling(k):
+    # The reflectors are built from a rescaled column, so they do not
+    # depend on the scale, and the reduction is linear in it.
+    a = random_complex(7, 5)
+    assert np.array_equal(hessenberg(2.0**k * a), 2.0**k * hessenberg(a))
+
+
+def test_givens_on_hessenberg_gives_hessenberg_q():
+    a = hessenberg(random_complex(9, 8))
+    f = givens_qr(a)
+    check_factors(a, f)
+    assert np.all(np.tril(f.q, -2) == 0.0)
