@@ -10,12 +10,10 @@ oracle   Cross-check the solver against the characteristic-polynomial route.
 Exit codes: 0 success, 1 usage error, 2 input/parse error, 3 numerical
 breakdown, 4 non-convergence (``eig --strict`` only).
 
-``bench`` takes its default seed from $EIGENKIT_BENCH_SEED when ``--seed``
-is absent; with neither, the seed is 0.
+``bench`` takes its seed from ``--seed`` alone; without it the seed is 0.
 """
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -42,8 +40,6 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_NOCONV = 4
-
-ENV_BENCH_SEED = "EIGENKIT_BENCH_SEED"
 
 
 class _CliError(Exception):
@@ -158,27 +154,13 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _bench_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    raw = os.environ.get(ENV_BENCH_SEED)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise _CliError(
-            EXIT_USAGE, f"{ENV_BENCH_SEED} must be an integer, got {raw!r}"
-        ) from None
-
-
 def _cmd_bench(args) -> int:
     solvers = [s.strip() for s in args.solvers.split(",") if s.strip()]
     try:
         spec = EnsembleSpec(
             dimension=args.dim,
             count=args.count,
-            seed=_bench_seed(args),
+            seed=args.seed,
             distribution=Distribution(args.dist),
         )
         report = run_comparison(spec, solvers)
@@ -245,7 +227,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bench", help="compare solvers on a random ensemble")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dist", choices=[d.value for d in Distribution], default="normal")
     p.add_argument("--solvers", required=True, help=f"comma list from {','.join(SOLVER_NAMES)}")
     p.add_argument("--out", required=True, metavar="REPORT.CSV")

@@ -14,7 +14,6 @@ __all__ = [
     "require_square",
     "frobenius_norm",
     "subdiagonal_norm",
-    "row_left_norm",
     "remove_row_col",
     "balance",
 ]
@@ -53,19 +52,6 @@ def subdiagonal_norm(a) -> float:
     """
     m = require_square(a)
     return float(np.linalg.norm(np.tril(m, -1)))
-
-
-def row_left_norm(a, j: int) -> float:
-    """Euclidean norm of row ``j`` strictly left of the diagonal.
-
-    ``j`` must satisfy 1 <= j <= n-1; row 0 has no entries left of the
-    diagonal and is rejected.
-    """
-    m = require_square(a)
-    n = m.shape[0]
-    if not 1 <= j <= n - 1:
-        raise IndexError(f"row index {j} out of range [1, {n - 1}]")
-    return float(np.linalg.norm(m[j, :j]))
 
 
 def remove_row_col(a, j: int) -> np.ndarray:

@@ -18,8 +18,9 @@ in whether the loop deflates:
 
 Both drivers reduce the (balanced) input once with ``hessenberg`` and step
 with ``givens_qr``: n-1 rotations on the Hessenberg iterate, which the step
-and trailing deflation keep exactly Hessenberg. ``DeflationMode.PAPER``
-skips the reduction and steps on the dense iterate.
+and trailing deflation keep exactly Hessenberg. Only the deflating driver
+reads ``deflation_mode``: under ``DeflationMode.PAPER`` it skips the
+reduction and steps on the dense iterate.
 Either way the eigenvalues are the extracted values followed by the
 diagonal of the final iterate. Reports are deterministic: identical input
 and config produce bit-identical eigenvalues, counters, and traces.
@@ -34,7 +35,6 @@ from .core import (
     balance,
     remove_row_col,
     require_square,
-    row_left_norm,
     subdiagonal_norm,
 )
 from .qr import givens_qr, hessenberg
@@ -68,7 +68,9 @@ class DeflationMode(enum.Enum):
     decouple the row, so the extracted diagonal entry need not be an
     eigenvalue, yet the solve still reports convergence. The CLI offers
     no way to pick PAPER; the enum stays in the library only because
-    perfbench's self-tests pin PAPER's wrong answer.
+    perfbench's self-tests pin PAPER's wrong answer. Only
+    ``enhanced_shifted_qr`` reads the mode; ``baseline_qr`` never deflates
+    and ignores it.
     """
 
     PAPER = "paper"
@@ -82,7 +84,8 @@ class SolverConfig:
     (absolute, positive and finite), the ``shift`` strategy, the
     ``deflation_mode`` and ``do_balance``. The QR kernel is not a knob: steps
     always use Givens rotations on the Hessenberg iterate (on the dense
-    iterate under ``DeflationMode.PAPER``, which skips the reduction).
+    iterate for the enhanced driver under ``DeflationMode.PAPER``, which
+    skips the reduction; baselines ignore ``deflation_mode``).
 
     ``do_balance`` is tri-state: None means "driver default" (on for the
     enhanced driver, off for baselines); an explicit bool wins either way.
@@ -176,7 +179,7 @@ def deflation_sweep(a, deflation_tol: float, mode: DeflationMode = DeflationMode
         return m, []
     indices = range(n - 1, 0, -1) if mode is DeflationMode.PAPER else (n - 1,)
     for j in indices:
-        if row_left_norm(m, j) < deflation_tol:
+        if np.linalg.norm(m[j, :j]) < deflation_tol:
             return remove_row_col(m, j), [complex(m[j, j])]
     return m, []
 
@@ -208,7 +211,7 @@ def _iterate(a, cfg: SolverConfig | None, deflate: bool) -> EigenReport:
     do_balance = deflate if cfg.do_balance is None else cfg.do_balance
     if do_balance:
         work = balance(work).matrix
-    if cfg.deflation_mode is not DeflationMode.PAPER:
+    if not (deflate and cfg.deflation_mode is DeflationMode.PAPER):
         # PAPER's interior deflation needs the dense iterate (see DeflationMode).
         work = hessenberg(work)
         if not np.isfinite(work).all():

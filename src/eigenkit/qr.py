@@ -149,7 +149,7 @@ def givens_qr(a) -> QRFactors:
             cols = q[:i + 1, j:i + 1:i - j]
             cols[:] = cols @ [[ca, -cb.conjugate()], [cb, ca.conjugate()]]
     _normalize_phases(q, r)
-    return QRFactors(q=q, r=np.triu(r))
+    return QRFactors(q=q, r=r)
 
 
 def gram_schmidt_qr(a, variant: str = "modified") -> QRFactors:

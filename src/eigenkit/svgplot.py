@@ -8,7 +8,7 @@ and all coordinates are fixed-precision.
 """
 
 import math
-from xml.sax.saxutils import escape
+from html import escape
 
 from .bench import ComparisonReport
 

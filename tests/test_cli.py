@@ -7,7 +7,6 @@ import pytest
 
 import eigenkit
 from eigenkit.cli import (
-    ENV_BENCH_SEED,
     EXIT_INPUT,
     EXIT_NOCONV,
     EXIT_NUMERIC,
@@ -263,24 +262,16 @@ def test_bench_rejects_bad_dimension(tmp_path):
     assert rc == EXIT_USAGE
 
 
-def test_bench_seed_env_fallback(tmp_path, monkeypatch, capsys):
+def test_bench_seed_comes_from_flag_only(tmp_path, monkeypatch, capsys):
     out = tmp_path / "r.csv"
     args = ["bench", "--dim", "2", "--count", "1", "--solvers", "enhanced", "--out", str(out)]
-
-    monkeypatch.delenv(ENV_BENCH_SEED, raising=False)
+    # The environment is not a seed source.
+    monkeypatch.setenv("EIGENKIT_BENCH_SEED", "99")
     assert main(args) == EXIT_OK
     assert "seed=0" in capsys.readouterr().out
 
-    monkeypatch.setenv(ENV_BENCH_SEED, "99")
-    assert main(args) == EXIT_OK
-    assert "seed=99" in capsys.readouterr().out
-
-    # Explicit flag beats the environment.
     assert main(args + ["--seed", "5"]) == EXIT_OK
     assert "seed=5" in capsys.readouterr().out
-
-    monkeypatch.setenv(ENV_BENCH_SEED, "not-a-number")
-    assert main(args) == EXIT_USAGE
 
 
 def test_bench_deterministic_csv(tmp_path):

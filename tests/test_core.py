@@ -7,7 +7,6 @@ from eigenkit.core import (
     frobenius_norm,
     remove_row_col,
     require_square,
-    row_left_norm,
     subdiagonal_norm,
 )
 from eigenkit.oracle import eigenvalues_oracle, match_eigenvalues
@@ -55,17 +54,6 @@ def test_subdiagonal_bounded_by_frobenius():
     for _ in range(20):
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         assert subdiagonal_norm(a) <= frobenius_norm(a)
-
-
-def test_row_left_norm():
-    assert row_left_norm(np.triu(np.ones((4, 4))), 2) == 0.0
-    assert row_left_norm([[1.0, 2.0], [5.0, 1.0]], 1) == pytest.approx(5.0)
-    a = [[1.0, 0, 0], [0, 1.0, 0], [3.0, 4.0, 9.0]]
-    assert row_left_norm(a, 2) == pytest.approx(5.0)
-    with pytest.raises(IndexError):
-        row_left_norm(np.eye(3), 0)
-    with pytest.raises(IndexError):
-        row_left_norm(np.eye(3), 3)
 
 
 def test_remove_row_col():

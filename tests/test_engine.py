@@ -259,6 +259,16 @@ class TestBaselineQr:
         assert forced.converged
         assert match_eigenvalues(forced.eigenvalues, eigenvalues_oracle(a)) <= 1e-8
 
+    @pytest.mark.parametrize("shift", list(ShiftStrategy))
+    def test_deflation_mode_is_ignored(self, shift):
+        # A baseline never deflates, so the mode must not change its iterate.
+        a = np.random.default_rng(82).standard_normal((6, 6))
+        reports = [
+            baseline_qr(a, SolverConfig(shift=shift, deflation_mode=mode, k_max=50))
+            for mode in DeflationMode
+        ]
+        assert reports[0] == reports[1]
+
 
 def test_default_mode_does_not_extract_an_interior_row():
     # PAPER mode extracts 5 here (row 1 has a zero left part), which is not

@@ -1,5 +1,8 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import eigenkit
 
@@ -17,3 +20,18 @@ def test_package_reexports_each_submodule_all_once():
             owner[name] = info.name
             assert getattr(eigenkit, name) is getattr(mod, name)
     assert sorted(eigenkit.__all__) == sorted(["__version__", *owner])
+
+
+def test_import_leaves_network_stack_unloaded():
+    # SVG escaping must not drag in urllib/http/email at import time.
+    code = (
+        "import sys, eigenkit; "
+        "print(sorted(m for m in ('http.client', 'urllib.request') if m in sys.modules))"
+    )
+    src = os.path.dirname(os.path.dirname(eigenkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

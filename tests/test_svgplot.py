@@ -46,6 +46,17 @@ def test_svg_bar_chart_labeled(tmp_path):
     assert "2" in texts  # the iteration count annotation
 
 
+def test_label_with_markup_round_trips(tmp_path):
+    label = 'say "hi" <&>'
+    path = tmp_path / "quoted.svg"
+    emit_convergence_svg({label: [_rec(1, 0.5), _rec(2, 1e-4)]}, path)
+    root = ET.parse(path).getroot()
+    tagged = root.findall(f".//{SVG_NS}*[@data-solver]")
+    assert {e.tag for e in tagged} == {f"{SVG_NS}rect", f"{SVG_NS}polyline"}
+    assert {e.get("data-solver") for e in tagged} == {label}
+    assert label in {t.text for t in root.findall(f".//{SVG_NS}text")}
+
+
 def test_zero_norm_clamped_to_floor(tmp_path):
     # A zero norm must land at the same y as the floor value, not at -inf.
     traces = {"a": [_rec(1, 1.0), _rec(2, 0.0)], "b": [_rec(1, 1.0), _rec(2, LOG_FLOOR)]}
