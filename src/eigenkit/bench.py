@@ -1,8 +1,8 @@
 """Side-by-side solver comparison harness.
 
-Four named solver setups (``SOLVER_SETUPS``) share one ``SolverConfig``
-(so every solver sees identical ``eps``/``k_max``) and differ only in shift
-strategy, deflation, and balancing:
+Four named solver setups (``SOLVER_SETUPS``) each run one driver with one
+shift strategy and the driver's defaults for every other ``SolverConfig``
+field (so all see the same ``eps``/``k_max``; balancing is the driver's):
 
 ==================== =============================================
 enhanced             Wilkinson shift + deflation sweep + balancing
@@ -11,11 +11,11 @@ rayleigh             Rayleigh (corner) shift, bare iteration
 plain                unshifted iteration
 ==================== =============================================
 
-``run_comparison`` runs every requested solver on every ensemble matrix and
+``run_comparison`` runs every requested solver on every given matrix and
 returns per-run rows plus per-solver aggregates. Solver failures are
 recorded on the row instead of aborting the run. Rows are sorted by
 (matrix index, solver name), so the report — and the trace CSV derived from
-it — is deterministic for a fixed ensemble spec and config.
+it — is deterministic for fixed matrices.
 
 Wall-clock times live only in the in-memory report (and stdout summaries);
 they never reach the CSV, which must be byte-identical across repeat runs.
@@ -27,8 +27,7 @@ import statistics
 import time
 
 from .core import require_square
-from .engine import SolverConfig, TraceRecord, baseline_qr, enhanced_shifted_qr
-from .ensemble import EnsembleSpec, generate_ensemble
+from .engine import EigenReport, SolverConfig, TraceRecord, baseline_qr, enhanced_shifted_qr
 from .shifts import ShiftStrategy
 
 __all__ = [
@@ -44,7 +43,7 @@ __all__ = [
 TRACE_CSV_HEADER = "matrix_index,solver,iteration,dimension,subdiag_norm,shift_re,shift_im,deflated"
 
 
-# Solver name -> (deflate, shift); balancing follows deflation. The table
+# Solver name -> (deflate, shift); the driver picks balancing. The table
 # holds flags, not functions: ``_solve_cell`` reads the two drivers from
 # this module's globals at call time, so a rebinding of them (a profiler's,
 # say) takes effect.
@@ -96,23 +95,16 @@ class ComparisonReport:
     aggregates: tuple[SolverAggregate, ...]
 
 
-def _solve_cell(index: int, m, name: str, cfg: SolverConfig) -> ComparisonRow:
+def _solve_cell(index: int, m, name: str) -> ComparisonRow:
     deflate, shift = SOLVER_SETUPS[name]
     solve = enhanced_shifted_qr if deflate else baseline_qr
     start = time.perf_counter()
+    error = None
     try:
-        report = solve(m, dataclasses.replace(cfg, shift=shift, do_balance=deflate))
+        # The config goes positionally: a profiler wrapping the drivers reads args[1].
+        report = solve(m, SolverConfig(shift=shift))
     except (ArithmeticError, ValueError) as exc:
-        return ComparisonRow(
-            matrix_index=index,
-            solver=name,
-            iterations=0,
-            converged=False,
-            wall_time=time.perf_counter() - start,
-            eigenvalues=(),
-            trace=(),
-            error=str(exc),
-        )
+        report, error = EigenReport([], 0, 0, False), str(exc)
     return ComparisonRow(
         matrix_index=index,
         solver=name,
@@ -121,7 +113,7 @@ def _solve_cell(index: int, m, name: str, cfg: SolverConfig) -> ComparisonRow:
         wall_time=time.perf_counter() - start,
         eigenvalues=tuple(report.eigenvalues),
         trace=tuple(report.trace),
-        error=None,
+        error=error,
     )
 
 
@@ -140,21 +132,20 @@ def _aggregate(rows: list[ComparisonRow], name: str) -> SolverAggregate:
     )
 
 
-def run_comparison(ensemble, solvers, cfg: SolverConfig | None = None) -> ComparisonReport:
-    """Run every named solver on every matrix of the ensemble.
+def run_comparison(matrices, solvers) -> ComparisonReport:
+    """Run every named solver on every matrix.
 
     Parameters
     ----------
-    ensemble : EnsembleSpec or sequence of matrices
-        A spec is expanded via :func:`eigenkit.ensemble.generate_ensemble`.
+    matrices : sequence of matrices
+        Non-empty, each square and finite; an ``EnsembleSpec`` is expanded by
+        the caller with :func:`eigenkit.ensemble.generate_ensemble`.
     solvers : sequence of str
         Non-empty subset of :data:`SOLVER_NAMES`; duplicates are dropped,
-        first occurrence wins the order (rows are re-sorted anyway).
-    cfg : SolverConfig, optional
-        Shared accuracy/budget knobs. Shift/deflation/balance fields are
-        overridden per solver; eps and k_max apply to all of them.
+        first occurrence wins the order (rows are re-sorted anyway). Each
+        solver runs its driver with ``SolverConfig(shift=...)``: the defaults
+        for everything but the shift.
     """
-    cfg = cfg or SolverConfig()
     names = list(dict.fromkeys(solvers))
     if not names:
         raise ValueError("at least one solver name is required")
@@ -163,15 +154,12 @@ def run_comparison(ensemble, solvers, cfg: SolverConfig | None = None) -> Compar
         raise ValueError(
             f"unknown solver name(s) {unknown}; choose from {list(SOLVER_NAMES)}"
         )
-    if isinstance(ensemble, EnsembleSpec):
-        matrices = generate_ensemble(ensemble)
-    else:
-        matrices = [require_square(m) for m in ensemble]
-        if not matrices:
-            raise ValueError("ensemble must contain at least one matrix")
+    matrices = [require_square(m) for m in matrices]
+    if not matrices:
+        raise ValueError("ensemble must contain at least one matrix")
 
     rows = [
-        _solve_cell(index, m, name, cfg)
+        _solve_cell(index, m, name)
         for index, m in enumerate(matrices)
         for name in names
     ]

@@ -26,7 +26,7 @@ from .engine import (
     baseline_qr,
     enhanced_shifted_qr,
 )
-from .ensemble import Distribution, EnsembleSpec
+from .ensemble import Distribution, EnsembleSpec, generate_ensemble
 from .matio import MatrixFormatError, format_complex, read_matrix
 from .oracle import RootConvergenceError, eigenvalues_oracle, match_eigenvalues
 from .qr import QRMethod, RankDeficiencyError, factorize
@@ -163,13 +163,17 @@ def _cmd_bench(args) -> int:
             seed=args.seed,
             distribution=Distribution(args.dist),
         )
-        report = run_comparison(spec, solvers)
+        report = run_comparison(generate_ensemble(spec), solvers)
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc)) from exc
     try:
         emit_trace_csv(report, args.out)
         if args.svg:
-            emit_convergence_svg(report, args.svg)
+            # The figure shows matrix 0's completed solves; the CSV holds the rest.
+            emit_convergence_svg(
+                {r.solver: r.trace for r in report.rows if r.matrix_index == 0 and r.error is None},
+                args.svg,
+            )
     except OSError as exc:
         raise _CliError(EXIT_INPUT, str(exc)) from exc
 

@@ -26,6 +26,7 @@ diagonal of the final iterate. Reports are deterministic: identical input
 and config produce bit-identical eigenvalues, counters, and traces.
 """
 
+import cmath
 import enum
 from dataclasses import dataclass, field
 
@@ -89,6 +90,8 @@ class SolverConfig:
 
     ``do_balance`` is tri-state: None means "driver default" (on for the
     enhanced driver, off for baselines); an explicit bool wins either way.
+    A value of the wrong type, such as ``shift="wilkinson"`` for
+    ``ShiftStrategy.WILKINSON``, raises ``ValueError`` here, as a bad number does.
     """
 
     k_max: int = 1000
@@ -107,6 +110,12 @@ class SolverConfig:
             raise ValueError("deflation_tol must be positive")
         if self.deflation_tol > self.eps:
             raise ValueError("deflation_tol must not exceed eps")
+        if not isinstance(self.shift, ShiftStrategy):
+            raise ValueError(f"shift must be a ShiftStrategy, got {self.shift!r}")
+        if not isinstance(self.deflation_mode, DeflationMode):
+            raise ValueError(f"deflation_mode must be a DeflationMode, got {self.deflation_mode!r}")
+        if not (self.do_balance is None or isinstance(self.do_balance, bool)):
+            raise ValueError(f"do_balance must be None, True or False, got {self.do_balance!r}")
 
 
 @dataclass(frozen=True)
@@ -189,20 +198,13 @@ def _shift_value(work: np.ndarray, strategy: ShiftStrategy) -> complex:
         return 0.0j
     if strategy is ShiftStrategy.RAYLEIGH:
         return rayleigh_shift(work)
-    if strategy is ShiftStrategy.WILKINSON:
-        return wilkinson_shift(work[-2:, -2:])
-    raise ValueError(f"unknown shift strategy: {strategy!r}")
+    return wilkinson_shift(work[-2:, -2:])
 
 
-def _checked_step(work, mu, iteration):
-    if not (np.isfinite(mu.real) and np.isfinite(mu.imag)):
-        raise NumericalBreakdownError(f"non-finite shift at iteration {iteration}")
-    stepped = qr_step(work, mu)
-    if not np.isfinite(stepped).all():
-        raise NumericalBreakdownError(
-            f"non-finite iterate at iteration {iteration}"
-        )
-    return stepped
+def _finite(work: np.ndarray, iteration: int) -> np.ndarray:
+    if not np.isfinite(work).all():
+        raise NumericalBreakdownError(f"non-finite iterate at iteration {iteration}")
+    return work
 
 
 def _iterate(a, cfg: SolverConfig | None, deflate: bool) -> EigenReport:
@@ -213,9 +215,7 @@ def _iterate(a, cfg: SolverConfig | None, deflate: bool) -> EigenReport:
         work = balance(work).matrix
     if not (deflate and cfg.deflation_mode is DeflationMode.PAPER):
         # PAPER's interior deflation needs the dense iterate (see DeflationMode).
-        work = hessenberg(work)
-        if not np.isfinite(work).all():
-            raise NumericalBreakdownError("non-finite iterate at iteration 1")
+        work = _finite(hessenberg(work), 1)
     extracted: list[complex] = []
     trace: list[TraceRecord] = []
     max_drift = 0.0
@@ -233,8 +233,10 @@ def _iterate(a, cfg: SolverConfig | None, deflate: bool) -> EigenReport:
         mu = 0.0j
         if not hit and not (deflate and work.shape[0] == 1):
             mu = _shift_value(work, cfg.shift)
+            if not cmath.isfinite(mu):
+                raise NumericalBreakdownError(f"non-finite shift at iteration {len(trace) + 1}")
             trace_before = complex(np.trace(work))
-            work = _checked_step(work, mu, len(trace) + 1)
+            work = _finite(qr_step(work, mu), len(trace) + 1)
             max_drift = max(max_drift, abs(complex(np.trace(work)) - trace_before))
         sub_norm = subdiagonal_norm(work)
         trace.append(TraceRecord(len(trace) + 1, work.shape[0], sub_norm, mu, hit))

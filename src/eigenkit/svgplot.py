@@ -2,15 +2,15 @@
 
 One figure, two panels: a labeled bar chart of iterations per solver, and
 log10-scaled polylines of the subdiagonal norm per iteration (one polyline
-per solver). Exact-zero norms are clamped to 1e-16 so the log scale stays
+per solver). The input is a mapping {solver label: trace}; which solves to
+plot is the caller's choice, so this module imports nothing from eigenkit.
+Exact-zero norms are clamped to 1e-16 so the log scale stays
 defined. Output is deterministic: solvers are drawn in sorted-name order
 and all coordinates are fixed-precision.
 """
 
 import math
 from html import escape
-
-from .bench import ComparisonReport
 
 __all__ = ["LOG_FLOOR", "emit_convergence_svg"]
 
@@ -23,37 +23,20 @@ _BAR_BOX = (70.0, 60.0, 400.0, 330.0)    # x0, y0, x1, y1 of the bar panel
 _LINE_BOX = (540.0, 60.0, 930.0, 330.0)  # same for the norm panel
 
 
-def _collect(source) -> dict[str, list]:
-    """Normalize input to {label: trace-record list}, sorted by label.
-
-    A ComparisonReport contributes its matrix-index-0 rows (the figure shows
-    one matrix's convergence; aggregate numbers belong in the CSV). A plain
-    mapping of label -> trace is passed through.
-    """
-    if isinstance(source, ComparisonReport):
-        series = {
-            row.solver: list(row.trace)
-            for row in source.rows
-            if row.matrix_index == 0 and row.error is None
-        }
-    else:
-        series = {str(label): list(trace) for label, trace in source.items()}
-    if not series:
-        raise ValueError("no trace data to plot")
-    return dict(sorted(series.items()))
-
-
 def _iteration_count(trace) -> int:
     return trace[-1].iteration if trace else 0
 
 
-def emit_convergence_svg(source, path) -> None:
-    """Render the two-panel convergence figure for ``source`` to ``path``.
+def emit_convergence_svg(traces, path) -> None:
+    """Render the two-panel convergence figure for ``traces`` to ``path``.
 
-    ``source`` is a ComparisonReport or a mapping {solver label: sequence of
-    TraceRecord}.
+    ``traces`` maps each solver label to its sequence of TraceRecord, one
+    solve per label; raises ``ValueError`` when it is empty.
     """
-    series = _collect(source)
+    if not traces:
+        raise ValueError("no trace data to plot")
+    series = {str(label): list(trace) for label, trace in traces.items()}
+    series = dict(sorted(series.items()))
     labels = list(series)
     colors = {lab: _PALETTE[i % len(_PALETTE)] for i, lab in enumerate(labels)}
 

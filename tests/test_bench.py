@@ -8,7 +8,7 @@ from eigenkit.bench import (
     run_comparison,
 )
 from eigenkit.engine import SolverConfig, TraceRecord, baseline_qr, enhanced_shifted_qr
-from eigenkit.ensemble import EnsembleSpec, generate_matrix
+from eigenkit.ensemble import EnsembleSpec, generate_ensemble, generate_matrix
 from eigenkit.shifts import ShiftStrategy
 
 
@@ -18,7 +18,7 @@ def test_solver_registry():
 
 def test_row_count_and_sorting():
     spec = EnsembleSpec(dimension=3, count=3, seed=5)
-    report = run_comparison(spec, ["plain", "enhanced"])
+    report = run_comparison(generate_ensemble(spec), ["plain", "enhanced"])
     assert len(report.rows) == 6
     keys = [(r.matrix_index, r.solver) for r in report.rows]
     assert keys == sorted(keys)
@@ -26,7 +26,7 @@ def test_row_count_and_sorting():
 
 def test_enhanced_beats_plain_on_seeded_3x3():
     spec = EnsembleSpec(dimension=3, count=1, seed=42)
-    report = run_comparison(spec, ["enhanced", "plain"])
+    report = run_comparison(generate_ensemble(spec), ["enhanced", "plain"])
     by_solver = {r.solver: r for r in report.rows}
     assert by_solver["enhanced"].iterations <= by_solver["plain"].iterations
 
@@ -45,12 +45,12 @@ def test_triangular_ensemble_deflation_only():
 
 def test_empty_solver_list_rejected():
     with pytest.raises(ValueError):
-        run_comparison(EnsembleSpec(dimension=2, count=1), [])
+        run_comparison(generate_ensemble(EnsembleSpec(dimension=2, count=1)), [])
 
 
 def test_unknown_solver_rejected():
     with pytest.raises(ValueError):
-        run_comparison(EnsembleSpec(dimension=2, count=1), ["newton"])
+        run_comparison(generate_ensemble(EnsembleSpec(dimension=2, count=1)), ["newton"])
 
 
 def test_empty_matrix_list_rejected():
@@ -60,7 +60,7 @@ def test_empty_matrix_list_rejected():
 
 def test_aggregates():
     spec = EnsembleSpec(dimension=3, count=4, seed=1)
-    report = run_comparison(spec, ["enhanced"])
+    report = run_comparison(generate_ensemble(spec), ["enhanced"])
     (agg,) = report.aggregates
     assert agg.solver == "enhanced"
     assert agg.runs == 4
@@ -72,12 +72,7 @@ def test_aggregates():
     assert agg.median_iterations == np.median(iters)
 
 
-def test_shared_config_applies():
-    spec = EnsembleSpec(dimension=3, count=1, seed=2)
-    capped = run_comparison(spec, ["plain"], SolverConfig(k_max=3))
-    assert capped.rows[0].iterations <= 3
-
-
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_solver_error_recorded_not_fatal():
     # Second matrix overflows the plain iteration into non-finite territory;
     # its row records the failure while the first matrix solves fine.
@@ -108,7 +103,7 @@ def test_trace_csv_single_record(tmp_path):
 
 def test_trace_csv_row_count_matches_traces(tmp_path):
     spec = EnsembleSpec(dimension=3, count=2, seed=3)
-    report = run_comparison(spec, ["enhanced", "plain"])
+    report = run_comparison(generate_ensemble(spec), ["enhanced", "plain"])
     path = tmp_path / "trace.csv"
     emit_trace_csv(report, path)
     data_lines = path.read_text().splitlines()[1:]
@@ -119,8 +114,8 @@ def test_trace_csv_row_count_matches_traces(tmp_path):
 def test_trace_csv_deterministic_bytes(tmp_path):
     spec = EnsembleSpec(dimension=4, count=2, seed=9)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    emit_trace_csv(run_comparison(spec, list(SOLVER_NAMES)), p1)
-    emit_trace_csv(run_comparison(spec, list(SOLVER_NAMES)), p2)
+    emit_trace_csv(run_comparison(generate_ensemble(spec), list(SOLVER_NAMES)), p1)
+    emit_trace_csv(run_comparison(generate_ensemble(spec), list(SOLVER_NAMES)), p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -136,12 +131,9 @@ DIRECT_CALLS = {
 @pytest.mark.parametrize("name", SOLVER_NAMES)
 def test_report_rows_match_solver_output(name):
     spec = EnsembleSpec(dimension=4, count=1, seed=13)
-    cfg = SolverConfig(k_max=200)
-    row = run_comparison(spec, [name], cfg).rows[0]
+    row = run_comparison(generate_ensemble(spec), [name]).rows[0]
     solve, shift, balance = DIRECT_CALLS[name]
-    direct = solve(
-        generate_matrix(spec, 0), SolverConfig(k_max=200, shift=shift, do_balance=balance)
-    )
+    direct = solve(generate_matrix(spec, 0), SolverConfig(shift=shift, do_balance=balance))
     assert row.iterations == direct.iterations
     assert row.converged == direct.converged
     assert row.eigenvalues == tuple(direct.eigenvalues)

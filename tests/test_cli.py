@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from eigenkit.cli import (
     EXIT_USAGE,
     main,
 )
+from eigenkit.engine import NumericalBreakdownError
 from eigenkit.matio import write_matrix
 
 
@@ -70,6 +72,7 @@ def test_factor_near_overflow(tmp_path, capsys):
         assert resid <= 1e-15 * 1.8e301
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_factor_overflowing_rotation_is_loud(tmp_path, capsys):
     # The column norm 2.1e308 is not representable. The Givens rotation is
     # taken on a rescaled pair, so R overflows loudly; an unscaled hypot
@@ -229,6 +232,29 @@ def test_bench_writes_outputs(tmp_path, capsys):
     assert out.exists() and svg.exists()
     stdout = capsys.readouterr().out
     assert "enhanced" in stdout and "plain" in stdout
+
+
+def test_bench_svg_uses_first_matrix(tmp_path):
+    svg = tmp_path / "r.svg"
+    args = [
+        "bench", "--dim", "3", "--count", "2", "--seed", "6",
+        "--solvers", "enhanced,plain", "--out", str(tmp_path / "r.csv"), "--svg", str(svg),
+    ]
+    assert main(args) == EXIT_OK
+    polylines = ET.parse(svg).getroot().findall(".//{http://www.w3.org/2000/svg}polyline")
+    assert sorted(p.get("data-solver") for p in polylines) == ["enhanced", "plain"]
+
+
+def test_bench_failed_solve_is_a_note(tmp_path, monkeypatch, capsys):
+    def breaks(a, cfg=None):
+        raise NumericalBreakdownError("non-finite shift at iteration 1")
+
+    monkeypatch.setattr(eigenkit.bench, "baseline_qr", breaks)
+    args = ["bench", "--dim", "2", "--count", "1", "--solvers", "enhanced,plain"]
+    assert main(args + ["--out", str(tmp_path / "r.csv")]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "note: matrix 0 / plain failed: non-finite shift at iteration 1" in out
+    assert "enhanced" in out and "note: matrix 0 / enhanced" not in out
 
 
 def test_bench_unwritable_out_is_input_error(tmp_path):

@@ -38,6 +38,10 @@ class TestSolverConfig:
             {"deflation_tol": 1e-8, "eps": 1e-10},
             {"eps": np.inf},
             {"eps": np.inf, "deflation_tol": np.inf},
+            {"shift": "wilkinson"},
+            {"deflation_mode": "paper"},
+            {"do_balance": False, "deflation_mode": "paper"},
+            {"do_balance": "no"},
         ],
     )
     def test_validation(self, kwargs):
@@ -203,8 +207,14 @@ class TestEnhancedShiftedQr:
                 [[1, 1e308, 0], [1e308, 1, 0], [1e308, 0, 1]],
                 "non-finite iterate at iteration 1",
             ),
+            # The reduced iterate is finite; the step's first rotation overflows.
+            (
+                [[1e308, 1.7e308, 0], [1e308, 1.7e308, 0], [0, 1, 1]],
+                "non-finite iterate at iteration 1",
+            ),
         ],
     )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_breakdown_names_iteration(self, a, message):
         # Overflow the iterate quickly: enormous entries square up each step.
         with pytest.raises(NumericalBreakdownError, match=message):
