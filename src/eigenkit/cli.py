@@ -166,14 +166,13 @@ def _cmd_bench(args) -> int:
         report = run_comparison(generate_ensemble(spec), solvers)
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc)) from exc
+    # The figure shows matrix 0's completed solves; the CSV holds the rest.
+    traces = {r.solver: r.trace for r in report.rows if r.matrix_index == 0 and r.error is None}
+    svg = args.svg if traces else None
     try:
         emit_trace_csv(report, args.out)
-        if args.svg:
-            # The figure shows matrix 0's completed solves; the CSV holds the rest.
-            emit_convergence_svg(
-                {r.solver: r.trace for r in report.rows if r.matrix_index == 0 and r.error is None},
-                args.svg,
-            )
+        if svg:
+            emit_convergence_svg(traces, svg)
     except OSError as exc:
         raise _CliError(EXIT_INPUT, str(exc)) from exc
 
@@ -194,9 +193,11 @@ def _cmd_bench(args) -> int:
     failed = [row for row in report.rows if row.error is not None]
     for row in failed:
         print(f"note: matrix {row.matrix_index} / {row.solver} failed: {row.error}")
+    if args.svg and not svg:
+        print("note: no completed solve of matrix 0; SVG not written")
     print(f"wrote trace CSV: {args.out}")
-    if args.svg:
-        print(f"wrote SVG: {args.svg}")
+    if svg:
+        print(f"wrote SVG: {svg}")
     return EXIT_OK
 
 

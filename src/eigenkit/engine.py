@@ -168,9 +168,12 @@ def qr_step(a, shift: complex = 0.0) -> np.ndarray:
     m = require_square(a)
     n = m.shape[0]
     mu = complex(shift)
-    eye = np.eye(n, dtype=np.complex128)
-    factors = givens_qr(m - mu * eye)
-    return factors.r @ factors.q + mu * eye
+    shifted = m.copy()
+    shifted.flat[::n + 1] -= mu
+    factors = givens_qr(shifted)
+    out = factors.r @ factors.q
+    out.flat[::n + 1] += mu
+    return out
 
 
 def deflation_sweep(a, deflation_tol: float, mode: DeflationMode = DeflationMode.TRAILING_ONLY):

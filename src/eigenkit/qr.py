@@ -6,6 +6,10 @@ nonnegative. This removes the phase ambiguity of the decomposition and makes
 results of different kernels directly comparable (QR is unique for
 nonsingular input under this convention). R is returned with exact zeros
 below the diagonal.
+
+The Givens kernel, which every QR step of the iteration drivers uses, holds R
+and Q^H side by side: each rotation is one two-row update of [R | Q^H], and
+the rotations come from a fill envelope of the input computed once per call.
 """
 
 import enum
@@ -52,34 +56,40 @@ class RankDeficiencyError(ArithmeticError):
 _TINY = float(np.finfo(np.float64).tiny)
 
 
-def _unit_phase(z) -> complex:
-    """z/|z|, guarded at the extremes of the exponent range.
+def _unit_phases(z) -> np.ndarray:
+    """z/|z| entrywise (1 where z is 0), guarded at the extremes of the exponent range.
 
-    The naive divide turns the phase into inf for denormal z (the scalar
-    divide goes through a reciprocal that overflows) and into 0 when |z|
-    itself overflows. Power-of-two rescales are exact and phase-preserving.
+    The parts are divided by |z| one by one: a complex divide goes through a
+    reciprocal, which overflows for denormal |z|. Denormal z would still lose
+    digits in |z|, and |z| overflows for huge z, so both are first rescaled by
+    a power of two, which is exact and phase-preserving. Moduli here and in
+    ``_normalize_phases`` use np.hypot, which rounds as Python's abs does;
+    np.abs of a complex array can differ from it in the last bit.
     """
-    z = complex(z)
-    m = max(abs(z.real), abs(z.imag))
-    if m == 0.0:
-        return 1.0 + 0.0j
-    if m < _TINY:
-        z *= 2.0 ** 600
-    elif m > 2.0 ** 1000:
-        z *= 2.0 ** -600
-    return z / abs(z)
+    z = np.array(z, dtype=np.complex128)
+    m = np.maximum(np.abs(z.real), np.abs(z.imag))
+    z[m < _TINY] *= 2.0 ** 600
+    z[m > 2.0 ** 1000] *= 2.0 ** -600
+    z[m == 0.0] = 1.0
+    modulus = np.hypot(z.real, z.imag)
+    z.real /= modulus
+    z.imag /= modulus
+    return z
 
 
 def _normalize_phases(q: np.ndarray, r: np.ndarray) -> None:
     # Fold diag(R) phases into Q so diag(R) is real nonnegative; QR invariant
     # because the phase matrix is unitary. Only entries off the nonnegative
-    # real axis need one.
+    # real axis take one, on their whole row of R (zero left of the diagonal,
+    # or rounding that householder_qr then drops) and their column of Q.
     d = np.diagonal(r)
-    for j in np.flatnonzero((d.imag != 0.0) | (d.real < 0.0)):
-        phase = _unit_phase(r[j, j])
-        r[j, j] = abs(r[j, j])
-        r[j, j + 1:] *= phase.conjugate()
-        q[:, j] *= phase
+    fold = (d.imag != 0.0) | (d.real < 0.0)
+    k = np.flatnonzero(fold)
+    modulus = np.hypot(d.real[k], d.imag[k])
+    phase = _unit_phases(d)
+    np.multiply(r, phase.conj()[:, None], out=r, where=fold[:, None])
+    np.multiply(q, phase, out=q, where=fold)
+    r[k, k] = modulus
 
 
 def _reflector(x: np.ndarray) -> np.ndarray | None:
@@ -94,7 +104,7 @@ def _reflector(x: np.ndarray) -> np.ndarray | None:
         return None
     parts = v.view(np.float64)
     parts[:] = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1])
-    v[0] += _unit_phase(v[0]) * np.linalg.norm(v)
+    v[0] += _unit_phases(v[0]) * np.linalg.norm(v)
     v /= np.linalg.norm(v)
     return v
 
@@ -121,16 +131,33 @@ def householder_qr(a) -> QRFactors:
 
 def givens_qr(a) -> QRFactors:
     """QR via complex Givens rotations, eliminating the nonzero subdiagonal
-    entries column by column: an upper-Hessenberg input takes at most n-1
-    rotations, each on two adjacent rows, and its Q is Hessenberg too."""
+    entries column by column.
+
+    R and Q^H are held side by side as one n x 2n array [R | Q^H], so a
+    rotation is one two-row update of both. The rotations come from a fill
+    envelope computed once: in column j only rows j+1..last can be nonzero,
+    where ``last`` is the deepest subdiagonal nonzero of input columns 0..j
+    (a rotation of rows j and i fills row i only to the right of column j).
+    Exact zeros get no rotation. An upper-Hessenberg input thus takes at most
+    n-1 rotations, each on two adjacent rows, and its Q is Hessenberg too.
+    """
     m = require_square(a)
     n = m.shape[0]
-    r = m.copy()
-    q = np.eye(n, dtype=np.complex128)
+    w = np.eye(n, 2 * n, n, dtype=np.complex128)
+    w[:, :n] = m
+    # bound[j]: the last row of input column j holding a nonzero on or below
+    # the diagonal. The diagonal counts as nonzero, so bound[j] >= j.
+    nz = m != 0.0
+    nz.flat[::n + 1] = True
+    bound = (n - 1 - nz[::-1].argmax(axis=0)).tolist()
+    last = 0
     for j in range(n - 1):
-        for i in r[j + 1:, j].nonzero()[0] + j + 1:
-            p = complex(r[j, j])
-            b = complex(r[i, j])
+        last = max(last, bound[j])
+        for i in range(j + 1, last + 1):
+            b = w.item(i, j)
+            if b == 0.0:
+                continue
+            p = w.item(j, j)
             big = max(abs(p.real), abs(p.imag), abs(b.real), abs(b.imag))
             if not _TINY <= big <= 2.0 ** 1000:
                 # Denormal or huge pair: the divides or the moduli below would
@@ -140,14 +167,15 @@ def givens_qr(a) -> QRFactors:
             rho = math.hypot(abs(p), abs(b))
             ca = p / rho
             cb = b / rho
-            # G = [[conj(ca), conj(cb)], [-cb, ca]] maps (p, b) -> (rho, 0);
-            # rows j and i of R take G, columns j and i of Q take G^H (their
-            # entries below row i are still zero).
-            rows = r[j:i + 1:i - j, j:]
-            rows[:] = [[ca.conjugate(), cb.conjugate()], [-cb, ca]] @ rows
-            r[i, j] = 0.0
-            cols = q[:i + 1, j:i + 1:i - j]
-            cols[:] = cols @ [[ca, -cb.conjugate()], [cb, ca.conjugate()]]
+            # G = [[conj(ca), conj(cb)], [-cb, ca]] maps (p, b) -> (rho, 0).
+            # Rows are visited in ascending i, never past ``last``, so every
+            # rotation so far mixed rows 0..last only: the Q^H halves of rows
+            # j and i are zero beyond column ``last``, and the slice is exact.
+            rows = w[j:i + 1:i - j, j:n + last + 1]
+            np.matmul([[ca.conjugate(), cb.conjugate()], [-cb, ca]], rows, out=rows)
+            w[i, j] = 0.0
+    q = w[:, n:].T.conj()
+    r = w[:, :n]
     _normalize_phases(q, r)
     return QRFactors(q=q, r=r)
 

@@ -257,6 +257,20 @@ def test_bench_failed_solve_is_a_note(tmp_path, monkeypatch, capsys):
     assert "enhanced" in out and "note: matrix 0 / enhanced" not in out
 
 
+def test_bench_svg_without_completed_solve_is_a_note(tmp_path, monkeypatch, capsys):
+    def breaks(a, cfg=None):
+        raise NumericalBreakdownError("non-finite shift at iteration 1")
+
+    monkeypatch.setattr(eigenkit.bench, "baseline_qr", breaks)
+    csv, svg = tmp_path / "r.csv", tmp_path / "r.svg"
+    args = ["bench", "--dim", "2", "--count", "1", "--solvers", "plain"]
+    assert main(args + ["--out", str(csv), "--svg", str(svg)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "note: no completed solve of matrix 0; SVG not written" in out
+    assert "wrote SVG" not in out
+    assert csv.exists() and not svg.exists()
+
+
 def test_bench_unwritable_out_is_input_error(tmp_path):
     out = tmp_path / "no-such-dir" / "r.csv"
     args = ["bench", "--dim", "2", "--count", "1", "--solvers", "enhanced", "--out", str(out)]

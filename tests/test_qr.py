@@ -6,6 +6,7 @@ from eigenkit.oracle import char_poly, match_eigenvalues
 from eigenkit.qr import (
     QRMethod,
     RankDeficiencyError,
+    _normalize_phases,
     factorize,
     givens_qr,
     gram_schmidt_qr,
@@ -50,10 +51,26 @@ def test_exchange_matrix(method):
 
 
 def test_givens_upper_triangular_is_noop():
+    # No subdiagonal nonzero and a positive diagonal: no rotation, no phase.
     a = np.array([[2.0, 5.0, 1.0], [0.0, 3.0, -1.0], [0.0, 0.0, 4.0]])
     f = givens_qr(a)
-    assert np.allclose(f.q, np.eye(3), atol=1e-15)
-    assert np.allclose(f.r, a, atol=1e-15)
+    assert np.array_equal(f.q, np.eye(3))
+    assert np.array_equal(f.r, a)
+
+
+def test_givens_phase_fold_at_the_extremes():
+    # One diagonal takes every branch of the vectorized phase guard: a
+    # negative real, a denormal, a huge entry, an exact zero and a positive
+    # real. The input is triangular, so Q is the phase matrix alone.
+    d = np.array([-2.0, 3e-320j, -1.5e301 + 1e301j, 0.0, 5.0])
+    a = np.triu(np.ones((5, 5), dtype=np.complex128), 1) + np.diag(d)
+    f = givens_qr(a)
+    r_diag = np.diag(f.r)
+    assert np.all(r_diag.imag == 0.0)
+    assert np.all(r_diag.real >= 0.0)
+    assert np.array_equal(f.q, np.diag(np.diag(f.q)))
+    assert np.abs(f.q.conj().T @ f.q - np.eye(5)).max() <= 1e-15
+    assert np.abs(f.q @ f.r - a).max() <= 1e-15 * np.abs(a).max()
 
 
 @pytest.mark.parametrize("method", ALL_METHODS)
@@ -219,6 +236,74 @@ def test_hessenberg_commutes_with_power_of_two_scaling(k):
     # depend on the scale, and the reduction is linear in it.
     a = random_complex(7, 5)
     assert np.array_equal(hessenberg(2.0**k * a), 2.0**k * hessenberg(a))
+
+
+def test_phase_fold_matches_scalar_loop():
+    # The vectorized fold does the scalar loop's arithmetic entry by entry,
+    # so the results are equal, not merely close.
+    rng = np.random.default_rng(11)
+    n = 8
+    r = np.triu(random_complex(n, 12))
+    r[np.diag_indices(n)] = [-2.0, 3.0, 0.0, 1e-320 - 2e-320j, -4e305j, 2.0 + 1e-17j, -0.5, 7.0]
+    q = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q_ref, r_ref = q.copy(), r.copy()
+    for j in range(n):
+        z = complex(r_ref[j, j])
+        if z.imag == 0.0 and z.real >= 0.0:
+            continue
+        big = max(abs(z.real), abs(z.imag))
+        if big < np.finfo(np.float64).tiny:
+            z *= 2.0 ** 600
+        elif big > 2.0 ** 1000:
+            z *= 2.0 ** -600
+        phase = z / abs(z)
+        r_ref[j, j] = abs(r_ref[j, j])
+        r_ref[j, j + 1:] *= phase.conjugate()
+        q_ref[:, j] *= phase
+    _normalize_phases(q, r)
+    assert np.array_equal(q, q_ref)
+    assert np.array_equal(r, r_ref)
+
+
+def _structured(kind, n, seed):
+    a = random_complex(n, seed)
+    if kind == "split-hessenberg":
+        a = np.triu(a, -1)
+        a[n // 2, n // 2 - 1] = 0.0
+    elif kind == "far-entry":
+        # The rotation of rows 0 and n-1 fills row n-1 in every later
+        # column, which input column 1 onwards does not show.
+        a = np.triu(a)
+        a[n - 1, 0] = 1.0 - 2.0j
+    elif kind == "arrow":
+        a = np.diag(np.diag(a))
+        a[0, :] = a[:, 0] = random_complex(n, seed + 1)[0]
+    elif kind == "lower-band-2":
+        a = np.tril(np.triu(a, -2))
+    else:
+        pattern = np.random.default_rng(seed).random((n, n)) < 0.3
+        a = np.where(pattern | np.eye(n, dtype=bool), a, 0.0)
+    return a
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [2, 5, 9])
+@pytest.mark.parametrize("kind", ["split-hessenberg", "far-entry", "arrow", "lower-band-2", "sparse"])
+def test_givens_structured_input(kind, n, seed):
+    # givens_qr rotates only inside its fill envelope; every structure must
+    # still come out exactly triangular and agree with Householder.
+    a = _structured(kind, n, 30 * seed + n)
+    f = givens_qr(a)
+    norm_a = frobenius_norm(a)
+    assert frobenius_norm(f.q @ f.r - a) <= 1e-14 * norm_a
+    assert frobenius_norm(f.q.conj().T @ f.q - np.eye(n)) <= 1e-14 * n
+    assert np.all(np.tril(f.r, -1) == 0.0)
+    d = np.diag(f.r)
+    assert np.all(d.imag == 0.0)
+    assert np.all(d.real >= 0.0)
+    h = householder_qr(a)
+    assert frobenius_norm(f.r - h.r) <= 1e-10 * norm_a
+    assert frobenius_norm(f.q - h.q) <= 1e-10
 
 
 def test_givens_on_hessenberg_gives_hessenberg_q():
