@@ -18,9 +18,9 @@ in whether the loop deflates:
 
 Both drivers reduce the (balanced) input once with ``hessenberg`` and step
 with ``givens_qr``: n-1 rotations on the Hessenberg iterate, which the step
-and trailing deflation keep exactly Hessenberg. Only the deflating driver
-reads ``deflation_mode``: under ``DeflationMode.PAPER`` it skips the
-reduction and steps on the dense iterate.
+and trailing deflation keep exactly Hessenberg, so the convergence norm reads
+its subdiagonal. Only the deflating driver reads ``deflation_mode``: under
+``DeflationMode.PAPER`` it skips the reduction and steps on the dense iterate.
 Either way the eigenvalues are the extracted values followed by the
 diagonal of the final iterate. Reports are deterministic: identical input
 and config produce bit-identical eigenvalues, counters, and traces.
@@ -165,14 +165,12 @@ def qr_step(a, shift: complex = 0.0) -> np.ndarray:
     trace are preserved. An upper-Hessenberg ``a`` takes n-1 rotations and
     gives an upper-Hessenberg result, with exact zeros below the subdiagonal.
     """
-    m = require_square(a)
-    n = m.shape[0]
+    shifted = require_square(a).copy()
     mu = complex(shift)
-    shifted = m.copy()
-    shifted.flat[::n + 1] -= mu
+    shifted.flat[::len(shifted) + 1] -= mu
     factors = givens_qr(shifted)
     out = factors.r @ factors.q
-    out.flat[::n + 1] += mu
+    out.flat[::len(out) + 1] += mu
     return out
 
 
@@ -216,15 +214,17 @@ def _iterate(a, cfg: SolverConfig | None, deflate: bool) -> EigenReport:
     do_balance = deflate if cfg.do_balance is None else cfg.do_balance
     if do_balance:
         work = balance(work).matrix
-    if not (deflate and cfg.deflation_mode is DeflationMode.PAPER):
+    paper = deflate and cfg.deflation_mode is DeflationMode.PAPER
+    if not paper:
         # PAPER's interior deflation needs the dense iterate (see DeflationMode).
         work = _finite(hessenberg(work), 1)
+    sub_norm_of = subdiagonal_norm if paper else lambda h: float(np.linalg.norm(np.diagonal(h, -1)))
     extracted: list[complex] = []
     trace: list[TraceRecord] = []
     max_drift = 0.0
     # Without deflation, convergence is tested before the first step, so a
     # triangular input costs no pass; with it, such input deflates row by row.
-    converged = not deflate and subdiagonal_norm(work) < cfg.eps
+    converged = not deflate and sub_norm_of(work) < cfg.eps
     while not converged and len(trace) < cfg.k_max:
         # A pass deflates, steps, or (deflating, once down to 1x1) only
         # records the final block, whose zero norm then ends the loop.
@@ -238,10 +238,10 @@ def _iterate(a, cfg: SolverConfig | None, deflate: bool) -> EigenReport:
             mu = _shift_value(work, cfg.shift)
             if not cmath.isfinite(mu):
                 raise NumericalBreakdownError(f"non-finite shift at iteration {len(trace) + 1}")
-            trace_before = complex(np.trace(work))
+            trace_before = complex(work.trace())
             work = _finite(qr_step(work, mu), len(trace) + 1)
-            max_drift = max(max_drift, abs(complex(np.trace(work)) - trace_before))
-        sub_norm = subdiagonal_norm(work)
+            max_drift = max(max_drift, abs(complex(work.trace()) - trace_before))
+        sub_norm = sub_norm_of(work)
         trace.append(TraceRecord(len(trace) + 1, work.shape[0], sub_norm, mu, hit))
         converged = not hit and sub_norm < cfg.eps
     return EigenReport(

@@ -1,15 +1,15 @@
 """QR factorization kernels: Householder, Givens, Gram-Schmidt; Hessenberg reduction.
 
-All kernels share one normalization: after factorizing, a diagonal phase
-matrix is folded into Q and R so that every diagonal entry of R is real and
-nonnegative. This removes the phase ambiguity of the decomposition and makes
-results of different kernels directly comparable (QR is unique for
-nonsingular input under this convention). R is returned with exact zeros
-below the diagonal.
+All kernels share one normalization: every diagonal entry of R is real and
+nonnegative, any phase being folded into Q. This removes the phase ambiguity
+of the decomposition and makes results of different kernels directly
+comparable (QR is unique for nonsingular input under this convention). R is
+returned with exact zeros below the diagonal.
 
 The Givens kernel, which every QR step of the iteration drivers uses, holds R
-and Q^H side by side: each rotation is one two-row update of [R | Q^H], and
-the rotations come from a fill envelope of the input computed once per call.
+and Q^H side by side: each rotation is one two-row update of [R | Q^H] that
+leaves its pivot real, and only the rows no rotation pivoted (the last row,
+at least) take a phase fold. Rotations follow a fill envelope of the input.
 """
 
 import enum
@@ -56,40 +56,36 @@ class RankDeficiencyError(ArithmeticError):
 _TINY = float(np.finfo(np.float64).tiny)
 
 
-def _unit_phases(z) -> np.ndarray:
-    """z/|z| entrywise (1 where z is 0), guarded at the extremes of the exponent range.
+def _unit_phase(z: complex) -> complex:
+    """z/|z| (1 for z = 0), guarded at the extremes of the exponent range.
 
     The parts are divided by |z| one by one: a complex divide goes through a
     reciprocal, which overflows for denormal |z|. Denormal z would still lose
     digits in |z|, and |z| overflows for huge z, so both are first rescaled by
-    a power of two, which is exact and phase-preserving. Moduli here and in
-    ``_normalize_phases`` use np.hypot, which rounds as Python's abs does;
-    np.abs of a complex array can differ from it in the last bit.
+    a power of two, which is exact and phase-preserving. Moduli in this module
+    are math.hypot of the parts, as abs(z) raises OverflowError past 1.8e308.
     """
-    z = np.array(z, dtype=np.complex128)
-    m = np.maximum(np.abs(z.real), np.abs(z.imag))
-    z[m < _TINY] *= 2.0 ** 600
-    z[m > 2.0 ** 1000] *= 2.0 ** -600
-    z[m == 0.0] = 1.0
-    modulus = np.hypot(z.real, z.imag)
-    z.real /= modulus
-    z.imag /= modulus
-    return z
+    big = max(abs(z.real), abs(z.imag))
+    if big == 0.0:
+        return 1.0 + 0.0j
+    if not _TINY <= big <= 2.0 ** 1000:
+        z *= 2.0 ** (600 if big < _TINY else -600)
+    modulus = math.hypot(z.real, z.imag)
+    return complex(z.real / modulus, z.imag / modulus)
 
 
 def _normalize_phases(q: np.ndarray, r: np.ndarray) -> None:
-    # Fold diag(R) phases into Q so diag(R) is real nonnegative; QR invariant
-    # because the phase matrix is unitary. Only entries off the nonnegative
-    # real axis take one, on their whole row of R (zero left of the diagonal,
-    # or rounding that householder_qr then drops) and their column of Q.
-    d = np.diagonal(r)
-    fold = (d.imag != 0.0) | (d.real < 0.0)
-    k = np.flatnonzero(fold)
-    modulus = np.hypot(d.real[k], d.imag[k])
-    phase = _unit_phases(d)
-    np.multiply(r, phase.conj()[:, None], out=r, where=fold[:, None])
-    np.multiply(q, phase, out=q, where=fold)
-    r[k, k] = modulus
+    # Fold diag(R) phases into Q so diag(R) is real nonnegative (QR invariant:
+    # the phase matrix is unitary), entry by entry as givens_qr folds its rows.
+    # An entry off the nonnegative real axis scales its whole row of R (zero
+    # left of the diagonal, or rounding householder_qr drops) and column of Q.
+    for j, z in enumerate(np.diagonal(r).tolist()):
+        if z.imag == 0.0 and z.real >= 0.0:
+            continue
+        phase = _unit_phase(z)
+        r[j] *= phase.conjugate()
+        r[j, j] = math.hypot(z.real, z.imag)
+        q[:, j] *= phase
 
 
 def _reflector(x: np.ndarray) -> np.ndarray | None:
@@ -104,7 +100,7 @@ def _reflector(x: np.ndarray) -> np.ndarray | None:
         return None
     parts = v.view(np.float64)
     parts[:] = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1])
-    v[0] += _unit_phases(v[0]) * np.linalg.norm(v)
+    v[0] += _unit_phase(complex(v[0])) * np.linalg.norm(v)
     v /= np.linalg.norm(v)
     return v
 
@@ -145,39 +141,43 @@ def givens_qr(a) -> QRFactors:
     n = m.shape[0]
     w = np.eye(n, 2 * n, n, dtype=np.complex128)
     w[:, :n] = m
+    g = np.empty((2, 2), dtype=np.complex128)
+    g_flat = g.reshape(4)
     # bound[j]: the last row of input column j holding a nonzero on or below
     # the diagonal. The diagonal counts as nonzero, so bound[j] >= j.
     nz = m != 0.0
     nz.flat[::n + 1] = True
     bound = (n - 1 - nz[::-1].argmax(axis=0)).tolist()
     last = 0
-    for j in range(n - 1):
+    for j in range(n):
         last = max(last, bound[j])
         for i in range(j + 1, last + 1):
             b = w.item(i, j)
             if b == 0.0:
                 continue
             p = w.item(j, j)
-            big = max(abs(p.real), abs(p.imag), abs(b.real), abs(b.imag))
-            if not _TINY <= big <= 2.0 ** 1000:
-                # Denormal or huge pair: the divides or the moduli below would
-                # overflow. Exact power-of-two rescale; G is scale-invariant.
-                s = 2.0 ** (600 if big < _TINY else -600)
+            rho = pivot = math.hypot(p.real, p.imag, b.real, b.imag)
+            if not 2.0 * _TINY <= pivot <= 2.0 ** 1000:
+                # Denormal or huge pair: the divides below would lose digits
+                # or overflow. Exact power-of-two rescale; G is scale-invariant.
+                s = 2.0 ** (600 if pivot < 2.0 * _TINY else -600)
                 p, b = p * s, b * s
-            rho = math.hypot(abs(p), abs(b))
-            ca = p / rho
-            cb = b / rho
-            # G = [[conj(ca), conj(cb)], [-cb, ca]] maps (p, b) -> (rho, 0).
-            # Rows are visited in ascending i, never past ``last``, so every
-            # rotation so far mixed rows 0..last only: the Q^H halves of rows
-            # j and i are zero beyond column ``last``, and the slice is exact.
+                rho = math.hypot(p.real, p.imag, b.real, b.imag)
+            ca, cb = p / rho, b / rho
+            # g maps (p, b) to (rho, 0). Rows go in ascending i, never past
+            # ``last``, so all rotations so far mixed rows 0..last: the Q^H
+            # halves of rows j and i are zero beyond column ``last``.
+            g_flat[:] = ca.conjugate(), cb.conjugate(), -cb, ca
             rows = w[j:i + 1:i - j, j:n + last + 1]
-            np.matmul([[ca.conjugate(), cb.conjugate()], [-cb, ca]], rows, out=rows)
+            rows[...] = g @ rows
+            w[j, j] = pivot
             w[i, j] = 0.0
-    q = w[:, n:].T.conj()
-    r = w[:, :n]
-    _normalize_phases(q, r)
-    return QRFactors(q=q, r=r)
+        z = w.item(j, j)
+        if z.imag != 0.0 or z.real < 0.0:
+            # No rotation made this pivot; row j is final, so fold its phase.
+            w[j] *= _unit_phase(z).conjugate()
+            w[j, j] = math.hypot(z.real, z.imag)
+    return QRFactors(q=w[:, n:].T.conj(), r=w[:, :n])
 
 
 def gram_schmidt_qr(a, variant: str = "modified") -> QRFactors:

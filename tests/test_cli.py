@@ -83,6 +83,22 @@ def test_factor_overflowing_rotation_is_loud(tmp_path, capsys):
     assert "givens" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1.5e308+1.5e308i\n", "1,2\n0,1.5e308+1.5e308i\n"],
+    ids=["1x1", "triangular-2x2"],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_factor_overflowing_phase_fold_is_loud(tmp_path, capsys, text):
+    # No rotation touches this pivot, so its phase is folded and R gets its
+    # modulus, 2.1e308, which is not representable. That must be the CLI's
+    # non-finite factor, not an OverflowError from abs of a finite complex.
+    path = tmp_path / "fold.csv"
+    path.write_text(text)
+    assert main(["factor", str(path), "--method", "givens"]) == EXIT_NUMERIC
+    assert "non-finite factor" in capsys.readouterr().err
+
+
 def test_eig_summary(symmetric_file, capsys):
     assert main(["eig", symmetric_file]) == EXIT_OK
     out = capsys.readouterr().out

@@ -279,6 +279,22 @@ class TestBaselineQr:
         ]
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("n", [2, 6, 20])
+    @pytest.mark.parametrize("shift", list(ShiftStrategy))
+    def test_trace_norm_is_that_of_the_iterate(self, shift, n):
+        # The driver reads its norm off the Hessenberg iterate's subdiagonal.
+        # Replaying the recorded steps, the whole strictly lower triangle
+        # must give the same norm, up to the order of summation.
+        rng = np.random.default_rng(90 + n)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        report = baseline_qr(a, SolverConfig(shift=shift, k_max=5))
+        assert report.trace
+        work = hessenberg(a)
+        for record in report.trace:
+            work = qr_step(work, record.shift)
+            expected = subdiagonal_norm(work)
+            assert abs(record.subdiag_norm - expected) <= 4 * np.spacing(expected)
+
 
 def test_default_mode_does_not_extract_an_interior_row():
     # PAPER mode extracts 5 here (row 1 has a zero left part), which is not

@@ -265,6 +265,33 @@ def test_phase_fold_matches_scalar_loop():
     assert np.array_equal(r, r_ref)
 
 
+@pytest.mark.parametrize("n", [6, 9])
+def test_givens_fold_matches_normalize_phases(n):
+    # Triangular input takes no rotation, so givens_qr folds every pivot off
+    # the nonnegative real axis as it goes; that fold is _normalize_phases's.
+    a = np.triu(random_complex(n, 40 + n))
+    a[np.diag_indices(n)] = np.resize([-2.0, 1e-320 - 2e-320j, -4e305j, 0.0, 2.0 + 1e-17j, 7.0], n)
+    q, r = np.eye(n, dtype=np.complex128), a.copy()
+    _normalize_phases(q, r)
+    f = givens_qr(a)
+    assert np.array_equal(f.r, r)
+    assert np.array_equal(f.q, q)
+
+
+@pytest.mark.parametrize("n", [2, 7, 30])
+def test_givens_pivots_come_out_real_and_positive(n):
+    # Every pivot of an unreduced Hessenberg input but the last is made by a
+    # rotation, which stores it real; the last is folded. None may keep an
+    # imaginary part from rounding.
+    a = np.triu(random_complex(n, 60 + n), -1)
+    assert np.all(np.diagonal(a, -1) != 0.0)
+    f = givens_qr(a)
+    check_factors(a, f)
+    d = np.diagonal(f.r)
+    assert np.all(d.imag == 0.0)
+    assert np.all(d.real > 0.0)
+
+
 def _structured(kind, n, seed):
     a = random_complex(n, seed)
     if kind == "split-hessenberg":
