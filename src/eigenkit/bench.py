@@ -1,8 +1,8 @@
 """Side-by-side solver comparison harness.
 
 Four named solver setups (``SOLVER_SETUPS``) each run one driver with one
-shift strategy and the driver's defaults for every other ``SolverConfig``
-field (so all see the same ``eps``/``k_max``; balancing is the driver's):
+shift strategy and the defaults for every other ``SolverConfig`` field (so
+all see the same ``eps``/``k_max``; only the deflating driver balances):
 
 ==================== =============================================
 enhanced             Wilkinson shift + deflation sweep + balancing
@@ -43,7 +43,7 @@ __all__ = [
 TRACE_CSV_HEADER = "matrix_index,solver,iteration,dimension,subdiag_norm,shift_re,shift_im,deflated"
 
 
-# Solver name -> (deflate, shift); the driver picks balancing. The table
+# Solver name -> (deflate, shift); deflating implies balancing. The table
 # holds flags, not functions: ``_solve_cell`` reads the two drivers from
 # this module's globals at call time, so a rebinding of them (a profiler's,
 # say) takes effect.

@@ -95,7 +95,7 @@ def _eig_config(args) -> SolverConfig:
             eps=args.eps,
             deflation_tol=args.dtol,
             shift=ShiftStrategy(args.shift),
-            do_balance=False if args.no_balance else None,
+            do_balance=not args.no_balance,
         )
     except ValueError as exc:
         raise _CliError(EXIT_USAGE, str(exc)) from exc

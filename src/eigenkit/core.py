@@ -4,6 +4,7 @@ Everything operates on square (or rectangular, where noted) numpy arrays of
 dtype complex128. All functions are pure; inputs are never mutated.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,44 +82,44 @@ class BalanceRecord:
 def balance(a) -> BalanceRecord:
     """Equalize off-diagonal row/column 1-norms by powers-of-two scaling.
 
-    Sweeps every index, rescaling row i by 1/f and column i by f with f a
-    power of two chosen so the scaled row and column norms land within a
-    factor of two of each other; a rescale is applied only when it shrinks
-    the combined norm by at least 5% (this guarantees termination). Stops
-    when a full sweep changes nothing. The eigenvalue multiset is preserved
-    because the transform is a similarity.
+    Sweeps every index, rescaling row i by 2^-k and column i by 2^k. With c
+    and r its off-diagonal column and row norms, k is read off their binary
+    exponents as the unique integer with r/2 <= c * 4^k < 2r, so the scaled
+    norms land within a factor of two of each other. A rescale is applied
+    only when it shrinks the combined norm by at least 5% (this guarantees
+    termination) and keeps the cumulative factor in [2^-1021, 2^1022], so
+    every factor and its reciprocal are finite. The diagonal, which the
+    similarity does not change, is left out of the update and comes back
+    bit for bit. Stops when a full sweep changes nothing.
     """
     m = require_square(a).copy()
     n = m.shape[0]
+    parts = m.view(np.float64)
     scale = np.ones(n)
     changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            # Sum and diagonal come from one np.abs array: a scalar abs can
-            # differ from it in the last bit, and an off-diagonal mass of
-            # +-1e-16 in place of 0 makes the loops below apply spurious
-            # factors or never end.
-            col = np.abs(m[:, i])
-            row = np.abs(m[i, :])
-            c = float(col.sum() - col[i])
-            r = float(row.sum() - row[i])
-            # Skip an index with no off-diagonal mass, or with a mass that
-            # overflowed to inf: the loops below never end on an inf.
-            if not (0.0 < c < np.inf and 0.0 < r < np.inf):
-                continue
-            s = c + r
-            f = 1.0
-            # Track c * f^2 against r: the post-scale norms are (c*f, r/f).
-            while c < r / 2.0:
-                f *= 2.0
-                c *= 4.0
-            while c >= r * 2.0:
-                f /= 2.0
-                c /= 4.0
-            if f != 1.0 and (c + r) / f < 0.95 * s:
-                scale[i] *= f
-                m[i, :] *= 1.0 / f
-                m[:, i] *= f
+    # A mass that overflows is skipped, and no update can overflow: no warning.
+    with np.errstate(over="ignore"):
+        while changed:
+            changed = False
+            for i in range(n):
+                # Sum and diagonal come from one np.abs array: a scalar abs can
+                # differ in the last bit, leaving a mass of +-1e-16 in place of 0.
+                col = np.abs(m[:, i])
+                row = np.abs(m[i, :])
+                c = float(col.sum() - col[i])
+                r = float(row.sum() - row[i])
+                if not (0.0 < c < np.inf and 0.0 < r < np.inf):
+                    continue
+                (mc, ec), (mr, er) = math.frexp(c), math.frexp(r)
+                k = -((ec - er) // 2) if mc < mr else (er - ec) // 2
+                # New factor 2^(e-1); r/2 <= c * 4^k < 2r keeps each ldexp <= max(c, r).
+                e = math.frexp(scale[i])[1] + k
+                if not (-1020 <= e <= 1023 and math.ldexp(c, k) + math.ldexp(r, -k) < 0.95 * (c + r)):
+                    continue
+                scale[i] = math.ldexp(1.0, e - 1)
+                d, m[i, i] = m[i, i], 0.0
+                np.ldexp(parts[i], -k, out=parts[i])
+                np.ldexp(parts[:, 2 * i:2 * i + 2], k, out=parts[:, 2 * i:2 * i + 2])
+                m[i, i] = d
                 changed = True
     return BalanceRecord(scale_factors=scale, matrix=m)

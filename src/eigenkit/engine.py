@@ -6,21 +6,22 @@ in whether the loop deflates:
 ``enhanced_shifted_qr``
     Deflating. Each pass first runs the deflation sweep; a hit extracts one
     converged eigenvalue and shrinks the active block by one, otherwise the
-    pass performs a single shifted QR step. Balancing is on by default. The
-    run ends when the active block is 1x1 (one last extraction pass), when
-    its strictly-lower-triangular norm drops below ``eps``, or when
-    ``k_max`` passes are exhausted.
+    pass performs a single shifted QR step. Balancing runs first unless
+    ``do_balance`` is False. The run ends when the active block is 1x1 (one
+    last extraction pass), when its strictly-lower-triangular norm drops
+    below ``eps``, or when ``k_max`` passes are exhausted.
 
 ``baseline_qr``
-    Not deflating: one shifted QR step per pass on the full matrix, no
-    balancing unless asked, stopping on the same norm test. The test also
-    runs before the first step, so triangular input takes zero passes.
+    Not deflating: one shifted QR step per pass on the full matrix, never
+    balanced, stopping on the same norm test. The test also runs before the
+    first step, so triangular input takes zero passes.
 
-Both drivers reduce the (balanced) input once with ``hessenberg`` and step
-with ``givens_qr``: n-1 rotations on the Hessenberg iterate, which the step
-and trailing deflation keep exactly Hessenberg, so the convergence norm reads
-its subdiagonal. Only the deflating driver reads ``deflation_mode``: under
-``DeflationMode.PAPER`` it skips the reduction and steps on the dense iterate.
+Both drivers reduce the input once with ``hessenberg`` and step with
+``givens_qr``: n-1 rotations on the Hessenberg iterate, which the step and
+trailing deflation keep exactly Hessenberg, so the convergence norm reads its
+subdiagonal. Only the deflating driver reads ``do_balance`` and
+``deflation_mode``: under ``DeflationMode.PAPER`` it skips the reduction and
+steps on the dense iterate.
 Either way the eigenvalues are the extracted values followed by the
 diagonal of the final iterate. Reports are deterministic: identical input
 and config produce bit-identical eigenvalues, counters, and traces.
@@ -86,10 +87,8 @@ class SolverConfig:
     ``deflation_mode`` and ``do_balance``. The QR kernel is not a knob: steps
     always use Givens rotations on the Hessenberg iterate (on the dense
     iterate for the enhanced driver under ``DeflationMode.PAPER``, which
-    skips the reduction; baselines ignore ``deflation_mode``).
-
-    ``do_balance`` is tri-state: None means "driver default" (on for the
-    enhanced driver, off for baselines); an explicit bool wins either way.
+    skips the reduction). Only the enhanced driver reads ``deflation_mode``
+    and ``do_balance`` (balance before reducing); baselines never balance.
     A value of the wrong type, such as ``shift="wilkinson"`` for
     ``ShiftStrategy.WILKINSON``, raises ``ValueError`` here, as a bad number does.
     """
@@ -99,7 +98,7 @@ class SolverConfig:
     deflation_tol: float = 1e-12
     shift: ShiftStrategy = ShiftStrategy.WILKINSON
     deflation_mode: DeflationMode = DeflationMode.TRAILING_ONLY
-    do_balance: bool | None = None
+    do_balance: bool = True
 
     def __post_init__(self):
         if self.k_max < 1:
@@ -114,8 +113,8 @@ class SolverConfig:
             raise ValueError(f"shift must be a ShiftStrategy, got {self.shift!r}")
         if not isinstance(self.deflation_mode, DeflationMode):
             raise ValueError(f"deflation_mode must be a DeflationMode, got {self.deflation_mode!r}")
-        if not (self.do_balance is None or isinstance(self.do_balance, bool)):
-            raise ValueError(f"do_balance must be None, True or False, got {self.do_balance!r}")
+        if not isinstance(self.do_balance, bool):
+            raise ValueError(f"do_balance must be True or False, got {self.do_balance!r}")
 
 
 @dataclass(frozen=True)
@@ -164,8 +163,9 @@ def qr_step(a, shift: complex = 0.0) -> np.ndarray:
     The result equals Q^H A Q, a unitary similarity, so the spectrum and the
     trace are preserved. An upper-Hessenberg ``a`` takes n-1 rotations and
     gives an upper-Hessenberg result, with exact zeros below the subdiagonal.
+    ``givens_qr`` validates the shifted copy, so it rejects a bad ``a`` or shift.
     """
-    shifted = require_square(a).copy()
+    shifted = np.array(a, dtype=np.complex128, ndmin=1)
     mu = complex(shift)
     shifted.flat[::len(shifted) + 1] -= mu
     factors = givens_qr(shifted)
@@ -195,11 +195,13 @@ def deflation_sweep(a, deflation_tol: float, mode: DeflationMode = DeflationMode
 
 
 def _shift_value(work: np.ndarray, strategy: ShiftStrategy) -> complex:
+    # The shifts read only the trailing 2x2 block, so they check only that.
+    corner = work[-2:, -2:]
     if strategy is ShiftStrategy.NO_SHIFT:
         return 0.0j
     if strategy is ShiftStrategy.RAYLEIGH:
-        return rayleigh_shift(work)
-    return wilkinson_shift(work[-2:, -2:])
+        return rayleigh_shift(corner)
+    return wilkinson_shift(corner)
 
 
 def _finite(work: np.ndarray, iteration: int) -> np.ndarray:
@@ -211,8 +213,7 @@ def _finite(work: np.ndarray, iteration: int) -> np.ndarray:
 def _iterate(a, cfg: SolverConfig | None, deflate: bool) -> EigenReport:
     cfg = cfg or SolverConfig()
     work = require_square(a)
-    do_balance = deflate if cfg.do_balance is None else cfg.do_balance
-    if do_balance:
+    if deflate and cfg.do_balance:
         work = balance(work).matrix
     paper = deflate and cfg.deflation_mode is DeflationMode.PAPER
     if not paper:
@@ -279,7 +280,7 @@ def enhanced_shifted_qr(a, cfg: SolverConfig | None = None) -> EigenReport:
 
 
 def baseline_qr(a, cfg: SolverConfig | None = None) -> EigenReport:
-    """Plain shifted QR loop: no deflation, no balancing unless asked.
+    """Plain shifted QR loop: no deflation and no balancing, whatever ``cfg`` says.
 
     Convergence is tested before each step, so an already-triangular input
     reports zero iterations. The diagonal of the final iterate is reported

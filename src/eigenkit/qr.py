@@ -6,10 +6,11 @@ of the decomposition and makes results of different kernels directly
 comparable (QR is unique for nonsingular input under this convention). R is
 returned with exact zeros below the diagonal.
 
-The Givens kernel, which every QR step of the iteration drivers uses, holds R
-and Q^H side by side: each rotation is one two-row update of [R | Q^H] that
-leaves its pivot real, and only the rows no rotation pivoted (the last row,
-at least) take a phase fold. Rotations follow a fill envelope of the input.
+The Householder and Givens kernels apply every transform to the rows of one
+n x 2n array, [A | I] becoming [R | Q^H], and end in one phase fold. Givens
+rotations leave their pivots real, so only rows no rotation pivoted (the last,
+at least) take a fold there. Givens, which every QR step of the iteration
+drivers uses, follows a fill envelope of the input.
 """
 
 import enum
@@ -74,18 +75,16 @@ def _unit_phase(z: complex) -> complex:
     return complex(z.real / modulus, z.imag / modulus)
 
 
-def _normalize_phases(q: np.ndarray, r: np.ndarray) -> None:
+def _fold_phases(w: np.ndarray) -> None:
     # Fold diag(R) phases into Q so diag(R) is real nonnegative (QR invariant:
-    # the phase matrix is unitary), entry by entry as givens_qr folds its rows.
-    # An entry off the nonnegative real axis scales its whole row of R (zero
-    # left of the diagonal, or rounding householder_qr drops) and column of Q.
-    for j, z in enumerate(np.diagonal(r).tolist()):
+    # the phase matrix is unitary). w is [R | Q^H]: an entry off the
+    # nonnegative real axis scales its whole row, which is its row of R (zero
+    # left of the diagonal) and its row of Q^H, i.e. its column of Q.
+    for j, z in enumerate(np.diagonal(w).tolist()):
         if z.imag == 0.0 and z.real >= 0.0:
             continue
-        phase = _unit_phase(z)
-        r[j] *= phase.conjugate()
-        r[j, j] = math.hypot(z.real, z.imag)
-        q[:, j] *= phase
+        w[j] *= _unit_phase(z).conjugate()
+        w[j, j] = math.hypot(z.real, z.imag)
 
 
 def _reflector(x: np.ndarray) -> np.ndarray | None:
@@ -108,21 +107,22 @@ def _reflector(x: np.ndarray) -> np.ndarray | None:
 def householder_qr(a) -> QRFactors:
     """QR via complex Householder reflections (the numerically robust default).
 
-    A column with nothing below the diagonal (including an all-zero pivot
-    column) gets no reflector at all.
+    R and Q^H are built side by side from [A | I]: each reflector is one
+    update of rows k: of both. A column with nothing below the diagonal
+    (including an all-zero pivot column) gets no reflector at all.
     """
     m = require_square(a)
     n = m.shape[0]
-    r = m.copy()
-    q = np.eye(n, dtype=np.complex128)
+    w = np.eye(n, 2 * n, n, dtype=np.complex128)
+    w[:, :n] = m
     for k in range(n - 1):
-        v = _reflector(r[k:, k])
+        v = _reflector(w[k:, k])
         if v is None:
             continue
-        r[k:, k:] -= 2.0 * np.outer(v, v.conj() @ r[k:, k:])
-        q[:, k:] -= 2.0 * np.outer(q[:, k:] @ v, v.conj())
-    _normalize_phases(q, r)
-    return QRFactors(q=q, r=np.triu(r))
+        w[k:, k:] -= 2.0 * np.outer(v, v.conj() @ w[k:, k:])
+        w[k + 1:, k] = 0.0
+    _fold_phases(w)
+    return QRFactors(q=w[:, n:].T.conj(), r=w[:, :n])
 
 
 def givens_qr(a) -> QRFactors:
@@ -172,11 +172,8 @@ def givens_qr(a) -> QRFactors:
             rows[...] = g @ rows
             w[j, j] = pivot
             w[i, j] = 0.0
-        z = w.item(j, j)
-        if z.imag != 0.0 or z.real < 0.0:
-            # No rotation made this pivot; row j is final, so fold its phase.
-            w[j] *= _unit_phase(z).conjugate()
-            w[j, j] = math.hypot(z.real, z.imag)
+    # Only pivots no rotation made can be off the real axis.
+    _fold_phases(w)
     return QRFactors(q=w[:, n:].T.conj(), r=w[:, :n])
 
 

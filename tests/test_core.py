@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 
@@ -154,3 +156,48 @@ class TestBalance:
             return np.sum(np.abs(x)) - np.sum(np.abs(np.diag(x)))
 
         assert offdiag_abs_sum(m) <= offdiag_abs_sum(a) * (1 + 1e-12)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            # A factor of 2^-1026 would balance this one; its reciprocal is inf.
+            [[1e-310, 1e-310], [1e308, 1e-310]],
+            # Scaling the diagonal by 1/f, then by f, overflows (0,0) to inf+nanj.
+            [[1e300, 1e286], [1e305, 0.0]],
+        ],
+        ids=["reciprocal-overflow", "diagonal-overflow"],
+    )
+    def test_extreme_input_stays_finite(self, a):
+        a = np.array(a, dtype=np.complex128)
+        rec = balance(a)
+        assert np.isfinite(rec.matrix).all()
+        mantissas, _ = np.frexp(rec.scale_factors)
+        assert np.all(mantissas == 0.5)
+        assert np.isfinite(1.0 / rec.scale_factors).all()
+        assert np.diagonal(rec.matrix).tobytes() == np.diagonal(a).tobytes()
+
+    def test_extreme_sweep_terminates_finite(self):
+        # Real matrices whose entries span the whole exponent range, with
+        # exact zeros. A timer turns a hang into a failure, and the suite's
+        # warning filter turns any RuntimeWarning into one too.
+        def hang(signum, frame):
+            raise TimeoutError("balance did not return")
+
+        rng = np.random.default_rng(19)
+        previous = signal.signal(signal.SIGALRM, hang)
+        try:
+            for _ in range(3000):
+                n = int(rng.integers(2, 6))
+                sign = rng.choice([-1.0, 1.0], (n, n))
+                exponent = rng.integers(-330, 309, (n, n))
+                a = sign * rng.uniform(1.0, 1.7, (n, n)) * np.power(10.0, exponent)
+                a[rng.random((n, n)) < 0.3] = 0.0
+                signal.setitimer(signal.ITIMER_REAL, 5.0)
+                rec = balance(a)
+                signal.setitimer(signal.ITIMER_REAL, 0.0)
+                assert np.isfinite(rec.matrix).all(), a.tolist()
+                assert np.isfinite(1.0 / rec.scale_factors).all(), a.tolist()
+                assert np.diagonal(rec.matrix).tobytes() == np.diagonal(a.astype(np.complex128)).tobytes()
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)

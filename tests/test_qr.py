@@ -6,7 +6,7 @@ from eigenkit.oracle import char_poly, match_eigenvalues
 from eigenkit.qr import (
     QRMethod,
     RankDeficiencyError,
-    _normalize_phases,
+    _fold_phases,
     factorize,
     givens_qr,
     gram_schmidt_qr,
@@ -238,17 +238,12 @@ def test_hessenberg_commutes_with_power_of_two_scaling(k):
     assert np.array_equal(hessenberg(2.0**k * a), 2.0**k * hessenberg(a))
 
 
-def test_phase_fold_matches_scalar_loop():
-    # The vectorized fold does the scalar loop's arithmetic entry by entry,
-    # so the results are equal, not merely close.
-    rng = np.random.default_rng(11)
-    n = 8
-    r = np.triu(random_complex(n, 12))
-    r[np.diag_indices(n)] = [-2.0, 3.0, 0.0, 1e-320 - 2e-320j, -4e305j, 2.0 + 1e-17j, -0.5, 7.0]
-    q = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q_ref, r_ref = q.copy(), r.copy()
-    for j in range(n):
-        z = complex(r_ref[j, j])
+def _scalar_phase_fold(q, r):
+    # The reference fold, one entry at a time: each diag(R) entry off the
+    # nonnegative real axis scales its row of R and its column of Q.
+    q, r = q.copy(), r.copy()
+    for j in range(len(r)):
+        z = complex(r[j, j])
         if z.imag == 0.0 and z.real >= 0.0:
             continue
         big = max(abs(z.real), abs(z.imag))
@@ -256,23 +251,37 @@ def test_phase_fold_matches_scalar_loop():
             z *= 2.0 ** 600
         elif big > 2.0 ** 1000:
             z *= 2.0 ** -600
-        phase = z / abs(z)
-        r_ref[j, j] = abs(r_ref[j, j])
-        r_ref[j, j + 1:] *= phase.conjugate()
-        q_ref[:, j] *= phase
-    _normalize_phases(q, r)
-    assert np.array_equal(q, q_ref)
-    assert np.array_equal(r, r_ref)
+        phase = complex(z.real / abs(z), z.imag / abs(z))
+        # Whole rows: numpy may round a one-entry slice differently.
+        modulus = abs(r[j, j])
+        r[j] *= phase.conjugate()
+        r[j, j] = modulus
+        q[:, j] *= phase
+    return q, r
+
+
+def test_phase_fold_matches_scalar_loop():
+    # The fold on [R | Q^H] does the scalar loop's arithmetic entry by entry,
+    # so the results are equal, not merely close.
+    rng = np.random.default_rng(11)
+    n = 8
+    r = np.triu(random_complex(n, 12))
+    r[np.diag_indices(n)] = [-2.0, 3.0, 0.0, 1e-320 - 2e-320j, -4e305j, 2.0 + 1e-17j, -0.5, 7.0]
+    q = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q_ref, r_ref = _scalar_phase_fold(q, r)
+    w = np.hstack([r, q.T.conj()])
+    _fold_phases(w)
+    assert np.array_equal(w[:, n:].T.conj(), q_ref)
+    assert np.array_equal(w[:, :n], r_ref)
 
 
 @pytest.mark.parametrize("n", [6, 9])
-def test_givens_fold_matches_normalize_phases(n):
+def test_givens_fold_matches_scalar_loop(n):
     # Triangular input takes no rotation, so givens_qr folds every pivot off
-    # the nonnegative real axis as it goes; that fold is _normalize_phases's.
+    # the nonnegative real axis, as the scalar loop does.
     a = np.triu(random_complex(n, 40 + n))
     a[np.diag_indices(n)] = np.resize([-2.0, 1e-320 - 2e-320j, -4e305j, 0.0, 2.0 + 1e-17j, 7.0], n)
-    q, r = np.eye(n, dtype=np.complex128), a.copy()
-    _normalize_phases(q, r)
+    q, r = _scalar_phase_fold(np.eye(n, dtype=np.complex128), a)
     f = givens_qr(a)
     assert np.array_equal(f.r, r)
     assert np.array_equal(f.q, q)
