@@ -29,7 +29,7 @@ from .engine import (
 from .ensemble import Distribution, EnsembleSpec, generate_ensemble
 from .matio import MatrixFormatError, format_complex, read_matrix
 from .oracle import RootConvergenceError, eigenvalues_oracle, match_eigenvalues
-from .qr import QRMethod, RankDeficiencyError, factorize
+from .qr import QRMethod, RankDeficiencyError, factorize, hessenberg
 from .shifts import ShiftStrategy
 from .svgplot import emit_convergence_svg
 
@@ -116,7 +116,7 @@ def _cmd_eig(args) -> int:
     solve = baseline_qr if args.no_deflate else enhanced_shifted_qr
     report = solve(m, cfg)
     label = _solver_label(args)
-    final_norm = report.trace[-1].subdiag_norm if report.trace else subdiagonal_norm(m)
+    final_norm = report.trace[-1].subdiag_norm if report.trace else subdiagonal_norm(hessenberg(m))
     print(f"n: {m.shape[0]}")
     print(f"solver: {label}")
     _print_values("eigenvalues", report.eigenvalues)

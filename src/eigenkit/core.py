@@ -1,7 +1,8 @@
 """Dense complex matrix primitives: norms, structural edits, and balancing.
 
-Everything operates on square (or rectangular, where noted) numpy arrays of
-dtype complex128. All functions are pure; inputs are never mutated.
+Everything operates on square (or rectangular, where noted) complex128 arrays,
+and no input is mutated. Every norm is ``_norm``, math.hypot of the parts, and
+every pre-scale is 2^-``_exponent``, e of the largest part p = f * 2^e, 1/2 <= f < 1.
 """
 
 import math
@@ -37,12 +38,18 @@ def require_square(a: np.ndarray) -> np.ndarray:
     return m
 
 
+def _norm(x: np.ndarray) -> float:
+    # Exact under power-of-two scaling; zero entries add nothing to the sum.
+    return math.hypot(*np.ravel(x).view(np.float64).tolist())
+
+
+def _exponent(x: np.ndarray) -> int:
+    return math.frexp(float(np.abs(np.ravel(x).view(np.float64)).max()))[1]
+
+
 def frobenius_norm(a) -> float:
-    """sqrt of the sum of squared moduli of all entries, taken after scaling
-    by a power of two near the largest part, so no square over- or underflows."""
-    parts = np.abs(as_matrix(a).ravel().view(np.float64))
-    exponent = np.frexp(parts.max())[1]
-    return float(np.ldexp(np.linalg.norm(np.ldexp(parts, -exponent)), exponent))
+    """sqrt of the sum of squared moduli of all entries; no square over- or underflows."""
+    return _norm(as_matrix(a))
 
 
 def subdiagonal_norm(a) -> float:
@@ -51,8 +58,7 @@ def subdiagonal_norm(a) -> float:
     Zero exactly when the matrix is upper triangular; this is the convergence
     metric of the QR iteration drivers.
     """
-    m = require_square(a)
-    return float(np.linalg.norm(np.tril(m, -1)))
+    return _norm(np.tril(require_square(a), -1))
 
 
 def remove_row_col(a, j: int) -> np.ndarray:

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    _norm,
     balance,
     remove_row_col,
     require_square,
@@ -189,7 +190,7 @@ def deflation_sweep(a, deflation_tol: float, mode: DeflationMode = DeflationMode
         return m, []
     indices = range(n - 1, 0, -1) if mode is DeflationMode.PAPER else (n - 1,)
     for j in indices:
-        if np.linalg.norm(m[j, :j]) < deflation_tol:
+        if _norm(m[j, :j]) < deflation_tol:
             return remove_row_col(m, j), [complex(m[j, j])]
     return m, []
 
@@ -219,7 +220,7 @@ def _iterate(a, cfg: SolverConfig | None, deflate: bool) -> EigenReport:
     if not paper:
         # PAPER's interior deflation needs the dense iterate (see DeflationMode).
         work = _finite(hessenberg(work), 1)
-    sub_norm_of = subdiagonal_norm if paper else lambda h: float(np.linalg.norm(np.diagonal(h, -1)))
+    sub_norm_of = subdiagonal_norm if paper else lambda h: _norm(np.diagonal(h, -1))
     extracted: list[complex] = []
     trace: list[TraceRecord] = []
     max_drift = 0.0

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import frobenius_norm, require_square
+from .core import _exponent, _norm, frobenius_norm, require_square
 
 __all__ = [
     "QRMethod",
@@ -91,16 +91,16 @@ def _reflector(x: np.ndarray) -> np.ndarray | None:
     """Unit v with (I - 2vv^H) x a multiple of e_1, or None when x[1:] is zero.
 
     The sign choice away from x[0] avoids cancellation. x is first scaled by
-    a power of two near its largest part: that is exact, v does not depend
-    on it, and no norm can then over- or underflow.
+    2^-e, with e the exponent of its largest part (``core._exponent``): that
+    is exact, v does not depend on it, and both norms are ``core._norm``.
     """
     v = np.array(x, dtype=np.complex128)
     if not v[1:].any():
         return None
     parts = v.view(np.float64)
-    parts[:] = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1])
-    v[0] += _unit_phase(complex(v[0])) * np.linalg.norm(v)
-    v /= np.linalg.norm(v)
+    parts[:] = np.ldexp(parts, -_exponent(v))
+    v[0] += _unit_phase(complex(v[0])) * _norm(v)
+    v /= _norm(v)
     return v
 
 

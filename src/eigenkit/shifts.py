@@ -2,10 +2,11 @@
 
 import cmath
 import enum
+import math
 
 import numpy as np
 
-from .core import require_square
+from .core import _exponent, require_square
 
 __all__ = ["ShiftStrategy", "eigenvalues_2x2", "wilkinson_shift", "rayleigh_shift"]
 
@@ -20,22 +21,23 @@ def eigenvalues_2x2(b) -> tuple[complex, complex]:
     """Both eigenvalues of a 2x2 matrix via the stable quadratic formula.
 
     The larger-magnitude root comes from the non-cancelling branch of
-    (tr/2) +- sqrt((tr/2)^2 - det); the other root is det divided by it.
+    (tr/2) +- sqrt((tr/2)^2 - det), the other is det divided by it; both are of the
+    block scaled by 2^-``core._exponent``, scaled back in two halves (inf past DBL_MAX).
     """
     m = require_square(b)
     if m.shape[0] != 2:
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    a_prev = complex(m[0, 0])
-    b_super = complex(m[0, 1])
-    b_sub = complex(m[1, 0])
-    a_last = complex(m[1, 1])
+    e = _exponent(m)
+    parts = np.ldexp(np.ravel(m).view(np.float64), -e)
+    a_prev, b_super, b_sub, a_last = parts.view(np.complex128).tolist()
     half_tr = (a_prev + a_last) / 2.0
     det = a_prev * a_last - b_super * b_sub
     disc = cmath.sqrt(half_tr * half_tr - det)
     big = half_tr + disc if abs(half_tr + disc) >= abs(half_tr - disc) else half_tr - disc
     if big == 0.0:
         return 0.0j, 0.0j
-    return big, det / big
+    up, rest = 2.0 ** (e // 2), 2.0 ** (e - e // 2)
+    return big * up * rest, det / big * up * rest
 
 
 def wilkinson_shift(b) -> complex:
@@ -49,8 +51,7 @@ def wilkinson_shift(b) -> complex:
     """
     lam1, lam2 = eigenvalues_2x2(b)
     a_last = complex(np.asarray(b)[1, 1])
-    d1 = abs(lam1 - a_last)
-    d2 = abs(lam2 - a_last)
+    d1, d2 = (math.hypot(d.real, d.imag) for d in (lam1 - a_last, lam2 - a_last))
     if d1 < d2:
         return lam1
     if d2 < d1:

@@ -72,12 +72,12 @@ def test_aggregates():
     assert agg.median_iterations == np.median(iters)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_solver_error_recorded_not_fatal():
-    # Second matrix overflows the plain iteration into non-finite territory;
-    # its row records the failure while the first matrix solves fine.
+    # The second matrix's eigenvalues, +-2.1e308, are not representable, so
+    # its shift overflows; its row records the failure while the first
+    # matrix solves fine.
     ok = np.array([[2.0, 1.0], [1.0, 2.0]])
-    blowup = np.array([[1e200, 1e200], [1e200, -1e200]])
+    blowup = np.array([[1.5e308, 1.5e308], [1.5e308, -1.5e308]])
     report = run_comparison([ok, blowup], ["enhanced"])
     assert report.rows[0].error is None
     assert report.rows[0].converged

@@ -1,6 +1,7 @@
 """Property tests: the enhanced solver's spectrum is invariant under
-permutation and unitary similarity, and scales with the input; both drivers'
-report counters agree with their trace.
+permutation and unitary similarity, and scales with the input; the norms and
+the 2x2 shift solve scale exactly by powers of two; both drivers' report
+counters agree with their trace.
 
 Matrices are drawn from ``numpy.random.default_rng(seed)``; Hypothesis picks
 the seed, the dimension (2..8; 1..8 for the counters) and whether the matrix
@@ -16,9 +17,11 @@ from hypothesis import strategies as st
 from eigenkit import (
     SolverConfig,
     baseline_qr,
+    eigenvalues_2x2,
     enhanced_shifted_qr,
     frobenius_norm,
     match_eigenvalues,
+    subdiagonal_norm,
 )
 
 TOL = 1e-9
@@ -67,6 +70,20 @@ def test_power_of_two_scaling(seed, n, complex_, k):
     a = _matrix(np.random.default_rng(seed), n, complex_)
     scaled_back = _spectrum(2.0**k * a) / 2.0**k
     assert match_eigenvalues(scaled_back, _spectrum(a)) <= TOL * frobenius_norm(a)
+
+
+@pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+def test_magnitudes_scale_exactly_by_powers_of_two(k):
+    # Every norm and the 2x2 shift solve are taken on scaled parts, so a
+    # power-of-two scale far outside the squares' range passes through them
+    # exactly, with no over- or underflow on the way.
+    rng = np.random.default_rng(7)
+    s = 2.0**k
+    for _ in range(300):
+        a = _matrix(rng, 5, True)
+        assert frobenius_norm(s * a) == s * frobenius_norm(a)
+        assert subdiagonal_norm(s * a) == s * subdiagonal_norm(a)
+        assert eigenvalues_2x2(s * a[-2:, -2:]) == tuple(s * z for z in eigenvalues_2x2(a[-2:, -2:]))
 
 
 @_settings

@@ -64,6 +64,11 @@ class TestWilkinsonShift:
             det = complex(np.linalg.det(b))
             assert abs(mu * mu - tr * mu + det) <= 1e-12 * (1 + frobenius_norm(b) ** 2)
 
+    def test_huge_distance_is_inf_not_overflow_error(self):
+        # Both roots are finite, but 1.5e308j is 2.1e308 from the corner
+        # entry; abs() of that finite complex raises OverflowError.
+        assert wilkinson_shift(np.array([[1.5e308j, 0.0], [1.0, -1.5e308]])) == -1.5e308
+
     def test_closer_than_other_root(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
