@@ -17,9 +17,9 @@ in whether the loop deflates:
     first step, so triangular input takes zero passes.
 
 Both drivers reduce the input once with ``hessenberg`` and step with
-``givens_qr``: n-1 rotations on the Hessenberg iterate, which the step and
-trailing deflation keep exactly Hessenberg, so the convergence norm reads its
-subdiagonal. Only the deflating driver reads ``do_balance`` and
+``givens_qr``: at most n-1 rotations on the Hessenberg iterate, which the
+step and trailing deflation keep exactly Hessenberg, so the convergence norm
+reads its subdiagonal. Only the deflating driver reads ``do_balance`` and
 ``deflation_mode``: under ``DeflationMode.PAPER`` it skips the reduction and
 steps on the dense iterate.
 Either way the eigenvalues are the extracted values followed by the
@@ -162,16 +162,18 @@ def qr_step(a, shift: complex = 0.0) -> np.ndarray:
     """One shifted QR step: factor (A - mu*I) = QR by Givens rotations, return RQ + mu*I.
 
     The result equals Q^H A Q, a unitary similarity, so the spectrum and the
-    trace are preserved. An upper-Hessenberg ``a`` takes n-1 rotations and
-    gives an upper-Hessenberg result, with exact zeros below the subdiagonal.
+    trace are preserved. An upper-Hessenberg ``a`` takes at most n-1 rotations
+    and gives an upper-Hessenberg result, with exact zeros below the subdiagonal.
     ``givens_qr`` validates the shifted copy, so it rejects a bad ``a`` or shift.
     """
-    shifted = np.array(a, dtype=np.complex128, ndmin=1)
+    # A C-ordered copy, so reshape(-1) is a view and the stride n+1 walks its diagonal.
+    shifted = np.array(a, dtype=np.complex128, order="C", ndmin=1)
     mu = complex(shift)
-    shifted.flat[::len(shifted) + 1] -= mu
+    diagonal = slice(None, None, len(shifted) + 1)
+    shifted.reshape(-1)[diagonal] -= mu
     factors = givens_qr(shifted)
     out = factors.r @ factors.q
-    out.flat[::len(out) + 1] += mu
+    out.reshape(-1)[diagonal] += mu
     return out
 
 
@@ -224,6 +226,7 @@ def _iterate(a, cfg: SolverConfig | None, deflate: bool) -> EigenReport:
     extracted: list[complex] = []
     trace: list[TraceRecord] = []
     max_drift = 0.0
+    trace_before = complex(work.trace())  # the active block's, carried from step to step
     # Without deflation, convergence is tested before the first step, so a
     # triangular input costs no pass; with it, such input deflates row by row.
     converged = not deflate and sub_norm_of(work) < cfg.eps
@@ -235,14 +238,17 @@ def _iterate(a, cfg: SolverConfig | None, deflate: bool) -> EigenReport:
             work, vals = deflation_sweep(work, cfg.deflation_tol, cfg.deflation_mode)
             extracted.extend(vals)
             hit = bool(vals)
+            if hit:
+                trace_before = complex(work.trace())
         mu = 0.0j
         if not hit and not (deflate and work.shape[0] == 1):
             mu = _shift_value(work, cfg.shift)
             if not cmath.isfinite(mu):
                 raise NumericalBreakdownError(f"non-finite shift at iteration {len(trace) + 1}")
-            trace_before = complex(work.trace())
             work = _finite(qr_step(work, mu), len(trace) + 1)
-            max_drift = max(max_drift, abs(complex(work.trace()) - trace_before))
+            trace_after = complex(work.trace())
+            max_drift = max(max_drift, abs(trace_after - trace_before))
+            trace_before = trace_after
         sub_norm = sub_norm_of(work)
         trace.append(TraceRecord(len(trace) + 1, work.shape[0], sub_norm, mu, hit))
         converged = not hit and sub_norm < cfg.eps

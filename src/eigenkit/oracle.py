@@ -9,6 +9,7 @@ degree, so the dimension is capped at ORACLE_MAX_DIM; above that, verify
 with aggregate invariants (trace / second moment) instead.
 """
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,8 @@ _ROOT_MAX_SWEEPS = 1000
 
 
 class RootConvergenceError(ArithmeticError):
-    """The root iteration failed to settle within the sweep cap."""
+    """The root iteration failed to settle within the sweep cap, or the
+    characteristic polynomial overflowed before it started."""
 
 
 @dataclass(frozen=True)
@@ -56,7 +58,13 @@ class PolySpec:
 
 
 def char_poly(a) -> PolySpec:
-    """Monic characteristic polynomial of a square matrix, n <= ORACLE_MAX_DIM."""
+    """Monic characteristic polynomial of a square matrix, n <= ORACLE_MAX_DIM.
+
+    The recurrence forms powers of A unscaled. When they overflow, it raises
+    :class:`RootConvergenceError` instead of returning non-finite coefficients.
+    Scaling A first would not help: ``poly_roots`` stops on an absolute step,
+    which would accept inaccurate roots of the scaled polynomial.
+    """
     m = require_square(a)
     n = m.shape[0]
     if n > ORACLE_MAX_DIM:
@@ -65,11 +73,17 @@ def char_poly(a) -> PolySpec:
         )
     coeffs = np.zeros(n, dtype=np.complex128)
     work = m.copy()
-    coeffs[n - 1] = -np.trace(work)
     eye = np.eye(n, dtype=np.complex128)
-    for k in range(1, n):
-        work = m @ (work + coeffs[n - k] * eye)
-        coeffs[n - k - 1] = -np.trace(work) / (k + 1)
+    # An overflow is reported below, as a non-finite coefficient, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs[n - 1] = -np.trace(work)
+        for k in range(1, n):
+            work = m @ (work + coeffs[n - k] * eye)
+            coeffs[n - k - 1] = -np.trace(work) / (k + 1)
+    if not np.isfinite(coeffs).all():
+        raise RootConvergenceError(
+            "characteristic polynomial overflowed: its coefficients are not finite"
+        )
     return PolySpec(tuple(complex(c) for c in coeffs))
 
 
@@ -79,7 +93,8 @@ def poly_roots(p: PolySpec) -> list[complex]:
     Starts every root guess at (0.4 + 0.9i)^k so the guesses are distinct
     and non-real; a sweep updates each root in place by the standard
     correction p(z_i) / prod(z_i - z_j). Converged when the largest
-    per-root update falls below 1e-13.
+    per-root update falls below 1e-13; raises :class:`RootConvergenceError`
+    when it does not within the sweep cap, or when a root is not finite.
     """
     n = p.degree
     if n < 1:
@@ -104,6 +119,9 @@ def poly_roots(p: PolySpec) -> list[complex]:
             roots[i] = z - step
             max_step = max(max_step, abs(step))
         if max_step < _ROOT_TOL:
+            # A nan step compares false and so passes the test above.
+            if not all(cmath.isfinite(z) for z in roots):
+                raise RootConvergenceError("root iteration overflowed: its roots are not finite")
             return roots
     raise RootConvergenceError(
         f"root iteration did not converge within {_ROOT_MAX_SWEEPS} sweeps"

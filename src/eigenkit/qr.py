@@ -10,7 +10,10 @@ The Householder and Givens kernels apply every transform to the rows of one
 n x 2n array, [A | I] becoming [R | Q^H], and end in one phase fold. Givens
 rotations leave their pivots real, so only rows no rotation pivoted (the last,
 at least) take a fold there. Givens, which every QR step of the iteration
-drivers uses, follows a fill envelope of the input.
+drivers uses, follows a fill envelope of the input and rotates no entry that is
+negligible next to its pivot: that entry is set to zero, a backward error of at
+most sqrt(2) u |pivot| (u = 2^-53), so on a stalled iterate every later step
+skips it too.
 """
 
 import enum
@@ -55,6 +58,9 @@ class RankDeficiencyError(ArithmeticError):
 
 
 _TINY = float(np.finfo(np.float64).tiny)
+# Unit roundoff u. A below-diagonal b with |Re b| + |Im b| <= u(|Re p| + |Im p|)
+# next to its pivot p is set to zero (LAPACK ZLAHQR's CABS1 test).
+_NEGLIGIBLE = 2.0 ** -53
 
 
 def _unit_phase(z: complex) -> complex:
@@ -134,8 +140,12 @@ def givens_qr(a) -> QRFactors:
     envelope computed once: in column j only rows j+1..last can be nonzero,
     where ``last`` is the deepest subdiagonal nonzero of input columns 0..j
     (a rotation of rows j and i fills row i only to the right of column j).
-    Exact zeros get no rotation. An upper-Hessenberg input thus takes at most
-    n-1 rotations, each on two adjacent rows, and its Q is Hessenberg too.
+    Exact zeros get no rotation, nor does an entry b negligible next to the
+    current pivot p, |Re b| + |Im b| <= 2^-53 (|Re p| + |Im p|) (the CABS1 test
+    of LAPACK's ZLAHQR): it is set to an exact zero, which moves A by at most
+    sqrt(2) 2^-53 |p|. An upper-Hessenberg input thus takes at most n-1
+    rotations, each on two adjacent rows, and its Q is Hessenberg too, with an
+    exact zero below each skipped pivot.
     """
     m = require_square(a)
     n = m.shape[0]
@@ -156,6 +166,10 @@ def givens_qr(a) -> QRFactors:
             if b == 0.0:
                 continue
             p = w.item(j, j)
+            if abs(b.real) + abs(b.imag) <= _NEGLIGIBLE * (abs(p.real) + abs(p.imag)):
+                # Negligible next to the pivot: zeroed, not rotated.
+                w[i, j] = 0.0
+                continue
             rho = pivot = math.hypot(p.real, p.imag, b.real, b.imag)
             if not 2.0 * _TINY <= pivot <= 2.0 ** 1000:
                 # Denormal or huge pair: the divides below would lose digits

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .core import _exponent, require_square
+from .core import require_square
 
 __all__ = ["ShiftStrategy", "eigenvalues_2x2", "wilkinson_shift", "rayleigh_shift"]
 
@@ -22,14 +22,18 @@ def eigenvalues_2x2(b) -> tuple[complex, complex]:
 
     The larger-magnitude root comes from the non-cancelling branch of
     (tr/2) +- sqrt((tr/2)^2 - det), the other is det divided by it; both are of the
-    block scaled by 2^-``core._exponent``, scaled back in two halves (inf past DBL_MAX).
+    block scaled by 2^-e, e the binary exponent of its largest part (as
+    ``core._exponent`` reads it, here off the four entries as Python complexes),
+    and scaled back in two halves (inf past DBL_MAX).
     """
     m = require_square(b)
     if m.shape[0] != 2:
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    e = _exponent(m)
-    parts = np.ldexp(np.ravel(m).view(np.float64), -e)
-    a_prev, b_super, b_sub, a_last = parts.view(np.complex128).tolist()
+    entries = m.ravel().tolist()
+    e = math.frexp(max([abs(x) for z in entries for x in (z.real, z.imag)]))[1]
+    a_prev, b_super, b_sub, a_last = (
+        complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)) for z in entries
+    )
     half_tr = (a_prev + a_last) / 2.0
     det = a_prev * a_last - b_super * b_sub
     disc = cmath.sqrt(half_tr * half_tr - det)

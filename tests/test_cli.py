@@ -250,6 +250,22 @@ def test_oracle_command(symmetric_file, capsys):
     assert "max match distance" in out
 
 
+@pytest.mark.parametrize(
+    "content",
+    ["0,1e308\n1,0\n", "-1,-1.7e308\n3+4i,0\n", "1e300,1e286\n1e305,0\n"],
+    ids=["huge-ratio", "huge-complex", "huge-graded"],
+)
+def test_oracle_overflow_is_numeric_error(tmp_path, capsys, content):
+    # `eig` solves all three; the oracle's characteristic polynomial
+    # overflows, which must be exit 3, not "nan" with exit 0.
+    path = tmp_path / "huge.csv"
+    path.write_text(content)
+    assert main(["oracle", str(path)]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert "not finite" in captured.err
+    assert "nan" not in captured.out
+
+
 def test_oracle_dimension_cap_is_input_error(tmp_path, capsys):
     path = tmp_path / "big.mtx"
     write_matrix(np.eye(13), path)

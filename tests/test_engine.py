@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from eigenkit.core import frobenius_norm, subdiagonal_norm
+from eigenkit.core import balance, frobenius_norm, subdiagonal_norm
 from eigenkit.engine import (
     DeflationMode,
     NumericalBreakdownError,
@@ -264,6 +264,49 @@ class TestEnhancedShiftedQr:
         unbalanced = enhanced_shifted_qr(a, SolverConfig(do_balance=False))
         # Same spectrum either way; the runs themselves may differ.
         assert match_eigenvalues(default.eigenvalues, unbalanced.eigenvalues) <= 1e-7
+
+
+def _comparison_pool():
+    rng = np.random.default_rng([2510, 7])
+    return [rng.standard_normal((7, 7)) for _ in range(6)]
+
+
+@pytest.mark.parametrize(
+    "shift,expected",
+    [
+        (ShiftStrategy.NO_SHIFT, [(False, 1000)] * 6),
+        (ShiftStrategy.RAYLEIGH, [(False, 1000)] * 6),
+        (ShiftStrategy.WILKINSON, [(False, 1000), (False, 1000), (True, 896),
+                                   (True, 303), (False, 1000), (False, 1000)]),
+    ],
+    ids=["plain", "rayleigh", "wilkinson-nodeflate"],
+)
+def test_baseline_outcomes_on_the_comparison_pool(shift, expected):
+    # The baselines of the n = 7 comparison stall or converge exactly as
+    # before negligible subdiagonal entries were zeroed in the QR step.
+    cfg = SolverConfig(shift=shift)
+    reports = [baseline_qr(a, cfg) for a in _comparison_pool()]
+    assert [(r.converged, r.iterations) for r in reports] == expected
+
+
+def test_max_trace_drift_matches_a_step_by_step_replay():
+    # The driver carries each step's trace forward as the next step's
+    # "before" value; replaying the passes with qr_step and deflation_sweep
+    # must give the same largest drift, across deflations, bit for bit.
+    a = _comparison_pool()[0]
+    cfg = SolverConfig()
+    report = enhanced_shifted_qr(a, cfg)
+    assert report.deflations >= 2 and report.max_trace_drift > 0.0
+    work = hessenberg(balance(a).matrix)
+    drift = 0.0
+    for record in report.trace:
+        if record.deflated:
+            work, _ = deflation_sweep(work, cfg.deflation_tol)
+        elif work.shape[0] > 1:
+            stepped = qr_step(work, record.shift)
+            drift = max(drift, abs(complex(stepped.trace()) - complex(work.trace())))
+            work = stepped
+    assert drift == report.max_trace_drift
 
 
 class TestBaselineQr:

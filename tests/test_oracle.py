@@ -7,6 +7,7 @@ from eigenkit.core import frobenius_norm
 from eigenkit.oracle import (
     ORACLE_MAX_DIM,
     PolySpec,
+    RootConvergenceError,
     char_poly,
     eigenvalues_oracle,
     match_eigenvalues,
@@ -165,3 +166,27 @@ class TestMatchEigenvalues:
                 for perm in itertools.permutations(range(n))
             )
             assert match_eigenvalues(left, right) == best
+
+
+# Each has representable eigenvalues that `eig` finds, but the unscaled powers
+# of A in the trace recurrence overflow.
+OVERFLOWING = [
+    [[0.0, 1e308], [1.0, 0.0]],
+    [[-1.0, -1.7e308], [3 + 4j, 0.0]],
+    [[1e300, 1e286], [1e305, 0.0]],
+]
+
+
+@pytest.mark.parametrize("a", OVERFLOWING, ids=["huge-ratio", "huge-complex", "huge-graded"])
+def test_char_poly_overflow_is_loud(a):
+    # pytest turns a RuntimeWarning into an error, so this also shows the
+    # recurrence no longer warns on the way.
+    with pytest.raises(RootConvergenceError, match="not finite"):
+        char_poly(np.array(a))
+
+
+def test_poly_roots_with_non_finite_roots_is_loud():
+    # Finite coefficients whose iteration overflows: every step is nan, which
+    # a plain "step < tol" test would take for convergence.
+    with pytest.raises(RootConvergenceError, match="not finite"):
+        poly_roots(PolySpec((5e199 + 0j, -1e200 + 0j)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from eigenkit.core import frobenius_norm, subdiagonal_norm
+from eigenkit.engine import qr_step
 from eigenkit.oracle import char_poly, match_eigenvalues
 from eigenkit.qr import (
     QRMethod,
@@ -347,3 +348,55 @@ def test_givens_on_hessenberg_gives_hessenberg_q():
     f = givens_qr(a)
     check_factors(a, f)
     assert np.all(np.tril(f.q, -2) == 0.0)
+
+
+def _with_subdiagonal_ratio(n, j, ratio, seed):
+    # Hessenberg input whose pivot in column j is its own diagonal entry (the
+    # subdiagonal left of j is zero), with a[j+1, j] = ratio * a[j, j].
+    a = np.triu(random_complex(n, seed), -1)
+    a[np.arange(1, j + 1), np.arange(j)] = 0.0
+    a[j + 1, j] = ratio * a[j, j]
+    return a
+
+
+@pytest.mark.parametrize("j", [0, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_givens_negligible_subdiagonal_gets_no_rotation(j, seed):
+    # |b| <= 2^-53 |p| in the CABS1 sense: zeroed, not rotated, so Q has an
+    # exact zero below that pivot and R is exactly triangular.
+    a = _with_subdiagonal_ratio(5, j, 2.0 ** -60, seed)
+    f = givens_qr(a)
+    assert np.all(np.tril(f.r, -1) == 0.0)
+    assert f.q[j + 1, j] == 0.0
+    assert frobenius_norm(f.q @ f.r - a) <= 2.0 ** -52 * frobenius_norm(a)
+    # The factors are those of the input with that entry exactly zero.
+    zeroed = a.copy()
+    zeroed[j + 1, j] = 0.0
+    g = givens_qr(zeroed)
+    assert np.array_equal(f.q, g.q) and np.array_equal(f.r, g.r)
+
+
+@pytest.mark.parametrize("j", [0, 2])
+def test_givens_small_but_not_negligible_subdiagonal_is_rotated(j):
+    a = _with_subdiagonal_ratio(5, j, 2.0 ** -40, 3)
+    f = givens_qr(a)
+    assert f.q[j + 1, j] != 0.0
+    check_factors(a, f)
+
+
+def test_qr_step_keeps_a_negligible_subdiagonal_exactly_zero():
+    # Every later step sees the exact zero and skips it too.
+    a = _with_subdiagonal_ratio(5, 0, 2.0 ** -60, 4)
+    out = qr_step(a, 0.0)
+    assert out[1, 0] == 0.0
+    assert np.all(np.diagonal(out, -1)[1:] != 0.0)
+    assert np.all(np.tril(out, -2) == 0.0)
+
+
+def test_givens_denormal_pair_is_still_rotated():
+    # Both entries are denormal: b is not negligible next to p, however tiny.
+    a = np.array([[3e-320, 1.0], [2e-320, 1.0]])
+    f = givens_qr(a)
+    assert f.q[1, 0] != 0.0
+    assert np.all(np.tril(f.r, -1) == 0.0)
+    assert np.abs(f.q.conj().T @ f.q - np.eye(2)).max() <= 1e-15

@@ -3,7 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
-from eigenkit.core import frobenius_norm
+from eigenkit.core import _exponent, frobenius_norm
 from eigenkit.shifts import eigenvalues_2x2, rayleigh_shift, wilkinson_shift
 
 
@@ -97,3 +97,43 @@ def test_rayleigh_shift():
     assert rayleigh_shift(np.eye(3)) == 1.0 + 0j
     assert rayleigh_shift(np.array([[1.0, 2.0], [3.0, 4.0]])) == 4.0 + 0j
     assert rayleigh_shift(np.diag([7.0, -2j])) == -2j
+
+
+def _eigenvalues_2x2_by_arrays(b):
+    # The earlier array form of the 2x2 solve: e by core._exponent and the
+    # scaled parts by np.ldexp.
+    m = np.asarray(b, dtype=np.complex128)
+    e = _exponent(m)
+    parts = np.ldexp(np.ravel(m).view(np.float64), -e)
+    a_prev, b_super, b_sub, a_last = parts.view(np.complex128).tolist()
+    half_tr = (a_prev + a_last) / 2.0
+    det = a_prev * a_last - b_super * b_sub
+    disc = cmath.sqrt(half_tr * half_tr - det)
+    big = half_tr + disc if abs(half_tr + disc) >= abs(half_tr - disc) else half_tr - disc
+    if big == 0.0:
+        return 0.0j, 0.0j
+    up, rest = 2.0 ** (e // 2), 2.0 ** (e - e // 2)
+    return big * up * rest, det / big * up * rest
+
+
+def _blocks_for_bitwise_check():
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        yield b * np.ldexp(1.0, rng.integers(-1000, 1000, (2, 2)))  # mixed exponents
+        yield b
+    yield np.array([[3e-320, 1e-310j], [-5e-324, 2e-318 - 4e-321j]])  # subnormal
+    yield np.array([[1.7e308, -1.7e308], [-1.7e308j, 1.7e308]])
+    yield np.array([[-1.7e308, 1.7e308j], [1.0, -1.7e308]])
+    yield np.zeros((2, 2))
+    yield np.array([[1e300, 1e-300], [1e-300j, -1e300]])
+    yield np.array([[0.0, 1e308], [1e-308, 0.0]])
+
+
+def test_eigenvalues_2x2_matches_the_array_form_bit_for_bit():
+    # The scalar math.frexp / math.ldexp path takes the same e and the same
+    # scaled parts as np.ldexp on the array, so the roots agree in every bit.
+    for b in _blocks_for_bitwise_check():
+        got = np.array(eigenvalues_2x2(b), dtype=np.complex128)
+        want = np.array(_eigenvalues_2x2_by_arrays(b), dtype=np.complex128)
+        assert got.tobytes() == want.tobytes(), b
